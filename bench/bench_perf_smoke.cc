@@ -11,11 +11,6 @@
  *
  * Usage: bench_perf_smoke [--jobs N] [--out PATH] [--guard BASELINE]
  *
- * A lane-batched single-thread pass (--lanes equal to the config
- * count, so each workload's whole basket shares one machine) is also
- * timed and checked bit-identical, and its serial/lanes wall ratio is
- * written as "lanes_speedup".
- *
  * The static analyzer (one interpreter profile per workload, then
  * predictPerformance per point — exactly the scoring work --prune
  * does) is also timed over the 66-point basket, min-of-3, and written
@@ -29,12 +24,17 @@
  * the guard's quality gate — portfolio never worse than single-seed
  * on the basket — is deterministic on any host.
  *
- * With --guard, the measured total firings_per_sec is compared
- * against the committed BASELINE json; more than 25% slower fails
- * (exit 1). Three further gates run:
- *  - lanes_speedup >= 0.85: lane batching must stay at parity with
- *    the scalar path (same-process min-of-3 wall ratio, so it is
- *    meaningful on any host);
+ * With --guard, the run is checked against the committed BASELINE
+ * json; the first failing gate exits 1. In order:
+ *  - total firings_per_sec more than 25% below the baseline's fails
+ *    (a baseline without the key fails too);
+ *  - analyzer_points_per_sec and placer_points_per_sec must each
+ *    stay within 1.5x of the baseline's (min-of-3 walls on both sides
+ *    damp preemption noise). Baselines recorded before a row existed
+ *    lack its key; that gate prints a note and skips rather than
+ *    failing;
+ *  - the 4-chain portfolio's basket placement cost must not exceed
+ *    the single seed's;
  *  - no point whose serial wall is >= 1ms may take more than 3x its
  *    serial wall in the largest parallel pass the host can physically
  *    run (jobs <= cpus; per-point timing-artifact gate — store
@@ -43,11 +43,7 @@
  *    measure time-slicing, not the harness);
  *  - on hosts with >= 4 cores the measured harness_speedup at jobs
  *    >= 4 must reach 1.5 (the parallel-sweep regression gate); hosts
- *    with fewer cores print a note and skip that gate;
- *  - analyzer_points_per_sec must stay within 1.5x of the baseline's
- *    (min-of-3 walls on both sides damp preemption noise). Baselines
- *    recorded before the analyzer existed lack the key; the gate
- *    prints a note and skips rather than failing.
+ *    with fewer cores print a note and skip that gate.
  * NUPEA_PERF_GUARD_SKIP=1 skips every comparison (exit 77, the ctest
  * SKIP_RETURN_CODE) for machines where wall-clock is not comparable
  * to the recorded baseline.
@@ -144,6 +140,59 @@ readBaselineValue(const std::string &text, const char *key,
     return value > 0.0;
 }
 
+/**
+ * A committed-baseline throughput gate: baseline / measured is the
+ * cost ratio, and a ratio above `limit` fails the guard. The sweep
+ * gate (no `name`) requires its key; the named per-layer gates skip
+ * with a note when the baseline predates their key, and their
+ * failure messages name the NUPEA_PERF_GUARD_SKIP escape.
+ */
+struct ThroughputGate
+{
+    const char *key;     ///< baseline json key (last occurrence)
+    const char *name;    ///< layer name; nullptr for the sweep gate
+    const char *unit;    ///< throughput unit in the report line
+    const char *subject; ///< what the failure message calls slower
+    double limit;        ///< largest passing cost ratio
+    double measured;     ///< this run's throughput
+};
+
+/** Report one gate; false when it fails the guard. */
+bool
+passesGate(const ThroughputGate &gate, const std::string &baselineText,
+           const std::string &baselinePath)
+{
+    double baseline = 0.0;
+    if (!readBaselineValue(baselineText, gate.key, baseline)) {
+        if (gate.name == nullptr) {
+            warn("perf guard: baseline ", baselinePath, " has no ",
+                 gate.key);
+            return false;
+        }
+        std::printf("perf guard: baseline has no %s; skipping the %s "
+                    "gate (re-pin BENCH_perf.json to arm it)\n",
+                    gate.key, gate.name);
+        return true;
+    }
+    double ratio =
+        gate.measured > 0.0 ? baseline / gate.measured : 1e9;
+    std::printf("perf guard: %s%sbaseline %.1f %s, measured %.1f "
+                "(%.2fx of baseline cost)\n",
+                gate.name ? gate.name : "", gate.name ? " " : "",
+                baseline, gate.unit, gate.measured, ratio);
+    if (ratio > gate.limit) {
+        warn("perf guard: ", gate.subject, " is ", ratio,
+             "x slower than the committed baseline (limit ", gate.limit,
+             "x",
+             gate.name ? "; set NUPEA_PERF_GUARD_SKIP=1 on incomparable "
+                         "machines"
+                       : "",
+             ")");
+        return false;
+    }
+    return true;
+}
+
 /** One timed sweep at a fixed job count; the runner (and its thread
  *  pool) is constructed before the timed window inside runSweep. */
 SweepResult
@@ -215,8 +264,8 @@ main(int argc, char **argv)
     // Static-analyzer throughput: one interpreter profile per
     // workload plus predictPerformance for every point — exactly the
     // scoring work a --prune sweep does before simulating. Min-of-3
-    // walls, same noise-damping policy as the lanes parity gate. The
-    // checksum keeps the optimizer from eliding the passes.
+    // walls damp preemption noise. The checksum keeps the optimizer
+    // from eliding the passes.
     double analyzer_seconds = 0.0;
     double analyzer_checksum = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
@@ -319,33 +368,6 @@ main(int argc, char **argv)
         spec.config.stallAttribution = true;
     SweepResult attr_serial = runSweep(serial_runner, aspecs);
 
-    // Lane-batched single-thread pass: each workload's 11 configs run
-    // as lanes of one machine sharing dispatch tables (--lanes in the
-    // sweep harness). Same untimed warmup as the serial pass, then
-    // one timed run; lanes_speedup below is a same-process
-    // serial/lanes wall ratio, so the gate on it is meaningful on any
-    // host, unlike harness_speedup.
-    SweepOptions lane_opts{1};
-    lane_opts.lanes = static_cast<int>(std::size(kConfigs));
-    SweepRunner lane_runner(lane_opts);
-    runSweep(lane_runner, rspecs);
-    SweepResult laned = runSweep(lane_runner, rspecs);
-
-    // Noise damping for the parity gate: a single wall measurement on
-    // a busy host swings +-10% or more from preemption, enough to
-    // trip any honest parity floor. The gated ratio uses min-of-3
-    // alternating walls — the minimum is the least-preempted run of
-    // each engine, and alternating keeps thermal/frequency drift from
-    // favoring one side.
-    double serial_best = serial.wallSeconds;
-    double laned_best = laned.wallSeconds;
-    for (int rep = 0; rep < 2; ++rep) {
-        serial_best = std::min(
-            serial_best, runSweep(serial_runner, rspecs).wallSeconds);
-        laned_best = std::min(
-            laned_best, runSweep(lane_runner, rspecs).wallSeconds);
-    }
-
     bool identical = true;
     for (std::size_t i = 0; i < serial.points.size(); ++i) {
         for (const SweepResult &sw : scaled) {
@@ -358,11 +380,6 @@ main(int argc, char **argv)
         if (!sameStats(serial.points[i].run, attr_serial.points[i].run)) {
             identical = false;
             warn("attribution on vs off stats mismatch at ",
-                 serial.points[i].label);
-        }
-        if (!sameStats(serial.points[i].run, laned.points[i].run)) {
-            identical = false;
-            warn("scalar vs lane-batched stats mismatch at ",
                  serial.points[i].label);
         }
     }
@@ -381,8 +398,6 @@ main(int argc, char **argv)
                    ? serial.wallSeconds / sw.wallSeconds
                    : 1.0;
     };
-    const double lanes_speedup =
-        laned_best > 0.0 ? serial_best / laned_best : 1.0;
     const unsigned host_cpus =
         std::max(1u, std::thread::hardware_concurrency());
 
@@ -423,12 +438,9 @@ main(int argc, char **argv)
         "\"parallel_wall_seconds\": %.6f, \"parallel_jobs\": %d, "
         "\"harness_speedup\": %.3f, "
         "\"attr_serial_wall_seconds\": %.6f, "
-        "\"lanes\": %d, \"lanes_wall_seconds\": %.6f, "
-        "\"lanes_speedup\": %.3f, "
         "\"stats_identical\": %s},\n",
         serial.points.size(), serial.wallSeconds, parallel.wallSeconds,
         parallel.jobs, speedupOf(parallel), attr_serial.wallSeconds,
-        lane_opts.lanes, laned.wallSeconds, lanes_speedup,
         identical ? "true" : "false");
 
     // The scaling curve: wall seconds and speedup per job count.
@@ -526,9 +538,7 @@ main(int argc, char **argv)
     for (const SweepResult &sw : scaled)
         std::printf(" jobs=%d %.3fs (%.2fx)", sw.jobs, sw.wallSeconds,
                     speedupOf(sw));
-    std::printf("; lanes=%d %.3fs (%.2fx); attribution-on serial "
-                "%.3fs, stats identical: %s\n",
-                lane_opts.lanes, laned.wallSeconds, lanes_speedup,
+    std::printf("; attribution-on serial %.3fs, stats identical: %s\n",
                 attr_serial.wallSeconds, identical ? "yes" : "NO");
     std::printf("analyzer: %zu points in %.4fs (%.0f points/s)\n",
                 rspecs.size(), analyzer_seconds,
@@ -548,77 +558,22 @@ main(int argc, char **argv)
             warn("perf guard: cannot read baseline ", guard_path);
             return 1;
         }
-        double baseline = 0.0;
-        if (!readBaselineValue(baseline_text, "firings_per_sec",
-                               baseline)) {
-            warn("perf guard: baseline ", guard_path,
-                 " has no firings_per_sec");
-            return 1;
-        }
-        double ratio = baseline / total_firings_per_sec;
-        std::printf("perf guard: baseline %.1f firings/s, measured "
-                    "%.1f (%.2fx of baseline cost)\n",
-                    baseline, total_firings_per_sec, ratio);
-        if (ratio > 1.25) {
-            warn("perf guard: sweep is ", ratio,
-                 "x slower than the committed baseline (limit 1.25x)");
-            return 1;
-        }
-
-        // Analyzer-throughput gate: the static scorer must stay fast
-        // enough that pruning a sweep is always cheaper than
-        // simulating it. Both sides are min-of-3 walls, so 1.5x slack
-        // covers host noise without hiding a real slowdown. A
-        // baseline recorded before the analyzer existed lacks the
-        // key; skip rather than fail so re-pinning stays optional.
-        double analyzer_baseline = 0.0;
-        if (readBaselineValue(baseline_text, "analyzer_points_per_sec",
-                              analyzer_baseline)) {
-            double aratio =
-                analyzer_points_per_sec > 0.0
-                    ? analyzer_baseline / analyzer_points_per_sec
-                    : 1e9;
-            std::printf("perf guard: analyzer baseline %.1f points/s, "
-                        "measured %.1f (%.2fx of baseline cost)\n",
-                        analyzer_baseline, analyzer_points_per_sec,
-                        aratio);
-            if (aratio > 1.5) {
-                warn("perf guard: static analyzer is ", aratio,
-                     "x slower than the committed baseline (limit "
-                     "1.5x; set NUPEA_PERF_GUARD_SKIP=1 on "
-                     "incomparable machines)");
+        // Throughput gates. The analyzer must stay fast enough that
+        // pruning a sweep is always cheaper than simulating it; its
+        // and the placer's rows are min-of-3 walls on both sides, so
+        // 1.5x slack covers host noise without hiding a real
+        // slowdown.
+        const ThroughputGate gates[] = {
+            {"firings_per_sec", nullptr, "firings/s", "sweep", 1.25,
+             total_firings_per_sec},
+            {"analyzer_points_per_sec", "analyzer", "points/s",
+             "static analyzer", 1.5, analyzer_points_per_sec},
+            {"placer_points_per_sec", "placer", "points/s",
+             "annealing placer", 1.5, placer_points_per_sec},
+        };
+        for (const ThroughputGate &gate : gates) {
+            if (!passesGate(gate, baseline_text, guard_path))
                 return 1;
-            }
-        } else {
-            std::printf("perf guard: baseline has no "
-                        "analyzer_points_per_sec; skipping the "
-                        "analyzer gate (re-pin BENCH_perf.json to "
-                        "arm it)\n");
-        }
-
-        // Placer-throughput gate: same shape as the analyzer gate
-        // (min-of-3 walls both sides, 1.5x slack, skip-with-note when
-        // the baseline predates the key).
-        double placer_baseline = 0.0;
-        if (readBaselineValue(baseline_text, "placer_points_per_sec",
-                              placer_baseline)) {
-            double pratio = placer_points_per_sec > 0.0
-                                ? placer_baseline / placer_points_per_sec
-                                : 1e9;
-            std::printf("perf guard: placer baseline %.1f points/s, "
-                        "measured %.1f (%.2fx of baseline cost)\n",
-                        placer_baseline, placer_points_per_sec, pratio);
-            if (pratio > 1.5) {
-                warn("perf guard: annealing placer is ", pratio,
-                     "x slower than the committed baseline (limit "
-                     "1.5x; set NUPEA_PERF_GUARD_SKIP=1 on "
-                     "incomparable machines)");
-                return 1;
-            }
-        } else {
-            std::printf("perf guard: baseline has no "
-                        "placer_points_per_sec; skipping the placer "
-                        "gate (re-pin BENCH_perf.json to arm it)\n");
         }
 
         // Portfolio-quality gate: a pure cost comparison, so no
@@ -635,30 +590,6 @@ main(int argc, char **argv)
                  kPortfolioChains, "-chain basket cost ",
                  placer_portfolio_cost, " exceeds single-seed ",
                  placer_single_cost);
-            return 1;
-        }
-
-        // Lane-batching gate: running each workload's config basket
-        // as lanes of one machine must never cost materially more
-        // than running the same points scalar. Both sides are
-        // measured single-threaded in this process, so the ratio is
-        // host-independent and the gate runs even where
-        // harness_speedup below is skipped. The floor is parity with
-        // margin, not the 2x amortization target: lanes are required
-        // to be byte-identical to the scalar machine lane-for-lane,
-        // which pins each lane's visit order, firing order, and
-        // memory-access order to the scalar schedule and so forbids
-        // every cross-lane batching trick that could beat scalar
-        // per-lane work (see DESIGN.md "Batched lane Machine"). What
-        // the gate protects against is batching pathologies like the
-        // cross-lane lockstep stepping that measured 0.62x.
-        std::printf("perf guard: lanes_speedup %.2fx at lanes=%d "
-                    "(floor 0.85x)\n",
-                    lanes_speedup, lane_opts.lanes);
-        if (lanes_speedup < 0.85) {
-            warn("perf guard: lane-batched sweep regression: ",
-                 lanes_speedup, "x vs scalar serial (floor 0.85x; set "
-                 "NUPEA_PERF_GUARD_SKIP=1 on incomparable machines)");
             return 1;
         }
 

@@ -5,10 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "analysis/hazards.h"
 #include "common/log.h"
 #include "compiler/report.h"
-#include "sim/machine_lanes.h"
 #include "verify/verify.h"
 
 namespace nupea
@@ -38,79 +36,6 @@ verifyOrDie(const CompiledWorkload &cw)
               report.errorCount(), " errors; pass --no-verify to run "
               "anyway):\n", report.renderText());
     }
-}
-
-/** Run the static model and warn() any placement hazards it finds
- *  (CompileOptions::perfHazards). Uses the default machine config's
- *  memory/energy parameters; purely analytical. */
-void
-reportPerfHazards(const CompiledWorkload &cw)
-{
-    ExecutionProfile profile =
-        profileGraph(cw.graph, cw.image, MemSysConfig{}.memBytes);
-    if (!profile.clean) {
-        warn(cw.workload->name(),
-             ": perf-hazard profile did not quiesce; skipping");
-        return;
-    }
-    MachineConfig c;
-    PerfModelConfig pc{c.mem, c.memsys, c.energy, c.clockDivider,
-                       c.maxOutstanding, c.fifoDepth};
-    PerfPrediction pred = predictPerformance(
-        cw.graph, cw.pnr.placement, cw.topo, profile, pc);
-    DiagnosticReport hazards = analyzePlacementHazards(
-        cw.graph, cw.pnr.placement, cw.topo, profile, pred);
-    for (const Diagnostic &d : hazards.diags())
-        warn(cw.workload->name(), ": ", diagIdName(d.id),
-             d.node != kInvalidId
-                 ? formatMessage(" node ", d.node, ": ")
-                 : std::string(": "),
-             d.message);
-}
-
-/** Check the image fits `store` and reset it to a fresh clone. */
-void
-resetStoreToImage(const CompiledWorkload &cw, BackingStore &store)
-{
-    NUPEA_ASSERT(cw.image.size() > 0,
-                 cw.workload->name(), ": run before compileWorkload");
-    NUPEA_ASSERT(cw.image.allocated() <= store.size(),
-                 cw.workload->name(), ": image needs ",
-                 cw.image.allocated(), " bytes, config grants ",
-                 store.size());
-    store.resetTo(cw.image);
-}
-
-/** The shared run -> BenchRun export: verdict gate, host-reference
- *  verify, stat extraction. Used verbatim by the scalar and the
- *  batched-lane paths so their BenchRuns cannot drift apart. */
-BenchRun
-exportRun(const CompiledWorkload &cw, RunResult &&r,
-          const BackingStore &store)
-{
-    if (!r.finished)
-        fatal(cw.workload->name(), ": watchdog expired");
-    if (!r.clean)
-        fatal(cw.workload->name(), ": unclean termination: ", r.problem);
-
-    BenchRun out;
-    out.fabricCycles = r.fabricCycles;
-    out.systemCycles = r.systemCycles;
-    out.loads = r.loads;
-    out.stores = r.stores;
-    out.firings = r.firings;
-    std::string why;
-    out.verified = cw.workload->verify(store, &why);
-    if (!out.verified)
-        warn(cw.workload->name(), ": output mismatch: ", why);
-    auto it = r.stats.dists().find("fmnoc.latency_total");
-    if (it != r.stats.dists().end())
-        out.avgMemLatency = it->second.mean();
-    out.energy = r.energy;
-    out.stats = std::move(r.stats);
-    out.nodeStalls = std::move(r.nodeStalls);
-    out.nodeMemLatency = std::move(r.nodeMemLatency);
-    return out;
 }
 
 } // namespace
@@ -157,8 +82,6 @@ compileWorkload(const std::string &name, const Topology &topo,
                 cw.parallelism = p;
                 if (options.verify)
                     verifyOrDie(cw);
-                if (options.perfHazards)
-                    reportPerfHazards(cw);
                 return cw;
             }
         }
@@ -174,8 +97,6 @@ compileWorkload(const std::string &name, const Topology &topo,
     cw.parallelism = auto_par.parallelism;
     if (options.verify)
         verifyOrDie(cw);
-    if (options.perfHazards)
-        reportPerfHazards(cw);
     return cw;
 }
 
@@ -195,34 +116,38 @@ runCompiled(const CompiledWorkload &cw, MachineConfig config,
     // shared CompiledWorkload may be running on several threads. The
     // store may be recycled from a previous point; resetTo scrubs
     // exactly the span storeWord() dirtied.
-    resetStoreToImage(cw, store);
+    NUPEA_ASSERT(cw.image.size() > 0,
+                 cw.workload->name(), ": run before compileWorkload");
+    NUPEA_ASSERT(cw.image.allocated() <= store.size(),
+                 cw.workload->name(), ": image needs ",
+                 cw.image.allocated(), " bytes, config grants ",
+                 store.size());
+    store.resetTo(cw.image);
 
     Machine machine(cw.graph, cw.pnr.placement, cw.topo, config, store);
-    return exportRun(cw, machine.run(), store);
-}
+    RunResult r = machine.run();
+    if (!r.finished)
+        fatal(cw.workload->name(), ": watchdog expired");
+    if (!r.clean)
+        fatal(cw.workload->name(), ": unclean termination: ", r.problem);
 
-std::vector<BenchRun>
-runCompiledLanes(const CompiledWorkload &cw,
-                 const std::vector<MachineConfig> &configs,
-                 const std::vector<BackingStore *> &stores)
-{
-    NUPEA_ASSERT(configs.size() == stores.size(),
-                 cw.workload->name(), ": ", configs.size(),
-                 " lane configs but ", stores.size(), " stores");
-    std::vector<LaneSpec> specs;
-    specs.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        resetStoreToImage(cw, *stores[i]);
-        specs.push_back(LaneSpec{configs[i], stores[i]});
-    }
-
-    LaneMachine machine(cw.graph, cw.pnr.placement, cw.topo, specs);
-    std::vector<RunResult> results = machine.run();
-
-    std::vector<BenchRun> out;
-    out.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        out.push_back(exportRun(cw, std::move(results[i]), *stores[i]));
+    BenchRun out;
+    out.fabricCycles = r.fabricCycles;
+    out.systemCycles = r.systemCycles;
+    out.loads = r.loads;
+    out.stores = r.stores;
+    out.firings = r.firings;
+    std::string why;
+    out.verified = cw.workload->verify(store, &why);
+    if (!out.verified)
+        warn(cw.workload->name(), ": output mismatch: ", why);
+    auto it = r.stats.dists().find("fmnoc.latency_total");
+    if (it != r.stats.dists().end())
+        out.avgMemLatency = it->second.mean();
+    out.energy = r.energy;
+    out.stats = std::move(r.stats);
+    out.nodeStalls = std::move(r.nodeStalls);
+    out.nodeMemLatency = std::move(r.nodeMemLatency);
     return out;
 }
 

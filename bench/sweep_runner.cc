@@ -17,7 +17,6 @@
 #include "analysis/perf_model.h"
 #include "analysis/profile.h"
 #include "common/log.h"
-#include "sim/machine_lanes.h"
 #include "sim/trace.h"
 
 namespace nupea
@@ -87,8 +86,6 @@ printUsage(std::FILE *to, const char *prog,
                  "usage: %s [options]\n"
                  "  --jobs N | -j N | -jN   worker threads (default: "
                  "NUPEA_BENCH_JOBS, else core count)\n"
-                 "  --lanes N               batch up to N compatible "
-                 "points per lockstep machine (default 1)\n"
                  "  --prune FRAC            statically score every point "
                  "and cycle-simulate only the best FRAC in (0, 1];\n"
                  "                          skipped points report static-"
@@ -164,12 +161,6 @@ parseSweepArgs(int argc, char **argv,
             opts.jobs = parseJobsValue(arg.substr(7));
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
             opts.jobs = parseJobsValue(arg.substr(2));
-        } else if (arg == "--lanes") {
-            if (i + 1 >= argc)
-                fatal(arg, " expects a value");
-            opts.lanes = parseCountValue("--lanes", argv[++i]);
-        } else if (arg.rfind("--lanes=", 0) == 0) {
-            opts.lanes = parseCountValue("--lanes", arg.substr(8));
         } else if (arg == "--prune") {
             if (i + 1 >= argc)
                 fatal(arg, " expects a fraction in (0, 1]");
@@ -402,14 +393,11 @@ runSweep(SweepRunner &runner, const std::vector<RunSpec> &specs)
 
     // One reusable, pre-faulted BackingStore per worker; the compiled
     // image itself is shared read-only across all workers.
-    std::vector<StoreArena> arenas(
-        static_cast<std::size_t>(runner.jobs()));
+    std::vector<StoreBank> banks(static_cast<std::size_t>(runner.jobs()));
 
-    // Resolve the effective per-point configs up front: observability
-    // knobs apply here, and the lane grouping below compares the
-    // resolved configs (trace/attribution never gate batchability).
-    // Trace files are opened later, once pruning has decided which
-    // points actually simulate.
+    // Resolve the effective per-point configs up front (observability
+    // knobs apply here). Trace files are opened later, once pruning
+    // has decided which points actually simulate.
     std::vector<MachineConfig> configs(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         NUPEA_ASSERT(specs[i].cw != nullptr,
@@ -518,111 +506,50 @@ runSweep(SweepRunner &runner, const std::vector<RunSpec> &specs)
         }
     }
 
-    // Group simulated points sharing one compiled image into lane
-    // batches of up to opts.lanes mutually batchable configs; with
-    // lanes <= 1 every batch is a singleton (the scalar path). With
-    // pruning, surviving points that became adjacent batch together
-    // (batchability, not original adjacency, is the correctness
-    // condition).
-    struct Batch
-    {
-        std::vector<std::size_t> points;
-    };
-    const std::size_t max_lanes =
-        opts.lanes > 1 ? static_cast<std::size_t>(opts.lanes) : 1;
     std::vector<std::size_t> run_order;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (simulate[i])
             run_order.push_back(i);
     }
-    std::vector<Batch> batches;
-    for (std::size_t s = 0; s < run_order.size();) {
-        std::size_t first = run_order[s];
-        Batch batch;
-        batch.points.push_back(first);
-        std::size_t t = s + 1;
-        while (t < run_order.size() &&
-               batch.points.size() < max_lanes &&
-               specs[run_order[t]].cw == specs[first].cw &&
-               LaneMachine::batchable(configs[first],
-                                      configs[run_order[t]])) {
-            batch.points.push_back(run_order[t]);
-            ++t;
-        }
-        batches.push_back(std::move(batch));
-        s = t;
-    }
 
-    std::vector<std::function<std::vector<PointResult>()>> tasks;
-    tasks.reserve(batches.size());
-    for (const Batch &batch : batches) {
-        tasks.push_back([&specs, &configs, &arenas, &batch]() {
+    std::vector<std::function<PointResult()>> tasks;
+    tasks.reserve(run_order.size());
+    for (std::size_t i : run_order) {
+        tasks.push_back([&specs, &configs, &banks, i]() {
             int worker = SweepRunner::currentWorker();
             NUPEA_ASSERT(worker >= 0 &&
                              static_cast<std::size_t>(worker) <
-                                 arenas.size(),
+                                 banks.size(),
                          "sweep point outside a pool worker");
-            StoreArena &arena =
-                arenas[static_cast<std::size_t>(worker)];
-            const std::size_t count = batch.points.size();
-            const CompiledWorkload &cw = *specs[batch.points[0]].cw;
+            const CompiledWorkload &cw = *specs[i].cw;
+            const MachineConfig &config = configs[i];
 
-            std::vector<PointResult> points(count);
-            for (std::size_t k = 0; k < count; ++k)
-                points[k].label = specs[batch.points[k]].label;
-
-            // Acquire (and prefault) stores before starting the
+            // Acquire (and prefault) the store before starting the
             // clock: a first-touch acquire faults in the whole image
             // span, which once inflated per-point wall times ~16x on
             // points whose simulated run is shorter than the fault
             // storm. Timed span = resetTo + simulation, matching what
             // "serial-equivalent cost" means for a recycled store.
-            if (count == 1) {
-                const MachineConfig &config = configs[batch.points[0]];
-                BackingStore &store =
-                    arena.acquire(config.memsys.memBytes,
-                                  cw.image.allocated());
-                auto start = std::chrono::steady_clock::now();
-                points[0].run = runCompiled(cw, config, store);
-                points[0].wallSeconds = secondsSince(start);
-                return points;
-            }
-
-            std::vector<MachineConfig> lane_configs;
-            lane_configs.reserve(count);
-            for (std::size_t idx : batch.points)
-                lane_configs.push_back(configs[idx]);
-            std::vector<BackingStore *> stores;
-            stores.reserve(count);
-            for (std::size_t k = 0; k < count; ++k)
-                stores.push_back(&arena.acquireLane(
-                    k, lane_configs[k].memsys.memBytes,
-                    cw.image.allocated()));
+            BackingStore &store =
+                banks[static_cast<std::size_t>(worker)].acquire(
+                    0, config.memsys.memBytes, cw.image.allocated());
+            PointResult point;
+            point.label = specs[i].label;
             auto start = std::chrono::steady_clock::now();
-            std::vector<BenchRun> runs =
-                runCompiledLanes(cw, lane_configs, stores);
-            double per_point =
-                secondsSince(start) / static_cast<double>(count);
-            for (std::size_t k = 0; k < count; ++k) {
-                points[k].run = std::move(runs[k]);
-                points[k].wallSeconds = per_point;
-            }
-            return points;
+            point.run = runCompiled(cw, config, store);
+            point.wallSeconds = secondsSince(start);
+            return point;
         });
     }
 
     SweepResult sweep;
     sweep.jobs = runner.jobs();
     auto start = std::chrono::steady_clock::now();
-    std::vector<std::vector<PointResult>> grouped =
-        runner.map(std::move(tasks));
+    std::vector<PointResult> ran = runner.map(std::move(tasks));
     sweep.wallSeconds = secondsSince(start);
     sweep.points.resize(specs.size());
-    for (std::size_t g = 0; g < batches.size(); ++g) {
-        for (std::size_t k = 0; k < batches[g].points.size(); ++k)
-            sweep.points[batches[g].points[k]] =
-                std::move(grouped[g][k]);
-    }
+    for (std::size_t k = 0; k < run_order.size(); ++k)
+        sweep.points[run_order[k]] = std::move(ran[k]);
 
     // Fill the pruned slots with the model's predictions so the
     // sweep's positional layout is unchanged for downstream tables.

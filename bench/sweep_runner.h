@@ -67,11 +67,6 @@ struct SweepOptions
     /** Run the static verifier on every compilation (`--verify`, the
      *  default; `--no-verify` clears it). */
     bool verify = true;
-    /** Batch up to this many consecutive same-image, mutually
-     *  batchable points (LaneMachine::batchable) into one lockstep
-     *  LaneMachine per task; 1 runs every point on its own scalar
-     *  Machine. Simulated results are bit-identical either way. */
-    int lanes = 1;
     /** Statically score every point with the performance model
      *  (analysis/perf_model.h) and cycle-simulate only the best
      *  `prune` fraction, Pareto-selected on (predicted cycles,
@@ -101,9 +96,9 @@ struct SweepOptions
 int defaultJobs();
 
 /**
- * Parse --jobs N / --jobs=N / -j N / -jN, --lanes N / --lanes=N,
- * --prune FRAC / --prune=FRAC (a fraction in (0, 1]; <= 0 or > 1 is
- * fatal), --pnr-chains N / --pnr-chains=N and --pnr-epoch N /
+ * Parse --jobs N / --jobs=N / -j N / -jN, --prune FRAC /
+ * --prune=FRAC (a fraction in (0, 1]; <= 0 or > 1 is fatal),
+ * --pnr-chains N / --pnr-chains=N and --pnr-epoch N /
  * --pnr-epoch=N (both reject values < 1), --stall-report,
  * --trace-out DIR / --trace-out=DIR, and --verify / --no-verify.
  * --help / -h prints the usage message and exits 0. Any other
@@ -144,8 +139,8 @@ class SweepRunner
      * The executing pool's worker index for the current thread:
      * 0..jobs-1 on pool threads (and on the calling thread while an
      * inline jobs=1 batch runs), -1 elsewhere. Tasks use it to index
-     * per-worker scratch state — e.g. runSweep's BackingStore
-     * arenas — without any locking.
+     * per-worker scratch state — e.g. runSweep's StoreBanks —
+     * without any locking.
      */
     static int currentWorker() { return TaskPool::currentWorker(); }
 
@@ -194,8 +189,7 @@ struct PointResult
 {
     BenchRun run;
     /** Host wall-clock of the simulated run only (store acquisition
-     *  and page prefaulting are excluded); for a lane-batched point,
-     *  the batch wall divided evenly over its lanes. */
+     *  and page prefaulting are excluded). */
     double wallSeconds = 0.0;
     std::string label;
     /** The point was dropped by --prune: `run` holds the static
@@ -219,27 +213,18 @@ struct SweepResult
 };
 
 /**
- * Execute every spec through the runner; results in spec order. The
- * compiled image is shared read-only across workers: each worker
- * reuses one pre-faulted BackingStore arena, reset to the point's
- * image before every run (see BackingStore::resetTo), instead of
- * mapping a fresh store per point. When the runner's options request
+ * Execute every spec through the runner, one pool task per simulated
+ * point; results in spec order. The compiled image is shared
+ * read-only across workers: each worker reuses one pre-faulted
+ * BackingStore from its own StoreBank, reset to the point's image
+ * before every run (see BackingStore::resetTo), instead of mapping a
+ * fresh store per point. When the runner's options request
  * observability, every point runs with stall attribution (and, with
  * a trace directory, writes `<dir>/<label>.trace.json`, suffixing
  * the point index when two labels sanitize to the same file stem);
  * per-point stall reports print after the sweep drains, in
  * submission order. If the sweep throws, partially-written trace
  * files are removed rather than left as truncated, invalid JSON.
- *
- * With options().lanes > 1, consecutive specs that share a compiled
- * workload and mutually batchable configs (LaneMachine::batchable:
- * same arena geometry and energy table; memory model, clock divider
- * and observability may differ) run as lanes of one LaneMachine per
- * task, sharing dispatch tables. Lane batching
- * composes with --jobs (each batch is one pool task) and keeps
- * per-lane results bit-identical to the scalar path (enforced by
- * test_machine_lanes); points that cannot batch fall back to a
- * scalar Machine.
  *
  * With options().prune < 1, every point is first scored by the
  * static performance model (one interpreter profile per distinct
@@ -253,7 +238,7 @@ struct SweepResult
  * of dropped points is logged and recorded in prunedPoints. If any
  * workload's profile is unclean (interpreter livelock), pruning is
  * disabled for the whole sweep rather than scoring on garbage.
- * Composes with --jobs and --lanes.
+ * Composes with --jobs.
  */
 SweepResult runSweep(SweepRunner &runner,
                      const std::vector<RunSpec> &specs);

@@ -138,22 +138,22 @@ class BackingStore
 };
 
 /**
- * A bank of recyclable BackingStores, one per lane of a batched (or
- * repeated) run over a shared read-only image. Each lane's store is
- * allocated (and its image span pre-faulted) on first acquire or on a
- * capacity change, then recycled: callers resetTo() it from the
- * shared image per run, so a lane pays O(bytes touched) per point
- * instead of an mmap/munmap pair — the kernel-side churn that
- * serializes concurrent sweep workers. A bank with only lane 0 in use
- * degenerates to the single recyclable store the scalar path uses.
+ * A bank of recyclable BackingStores for repeated runs over a shared
+ * read-only image, indexed by slot; the sweep runner and the
+ * repository benchmark keep one bank per pool worker and use slot 0.
+ * Each slot's store is allocated (and its image span pre-faulted) on
+ * first acquire or on a capacity change, then recycled: callers
+ * resetTo() it from the shared image per run, so a run pays
+ * O(bytes touched) instead of an mmap/munmap pair — the kernel-side
+ * churn that serializes concurrent sweep workers.
  */
 class StoreBank
 {
   public:
     /**
-     * Store for `lane` with exactly `bytes` capacity, pages for the
-     * first `prefaultBytes` already faulted in. Contents unspecified;
-     * reset per run. Lanes grow the bank on demand.
+     * Store for slot `lane` with exactly `bytes` capacity, pages for
+     * the first `prefaultBytes` already faulted in. Contents
+     * unspecified; reset per run. Slots grow the bank on demand.
      */
     BackingStore &
     acquire(std::size_t lane, std::size_t bytes,
@@ -174,8 +174,6 @@ class StoreBank
         }
         return *slot.store;
     }
-
-    std::size_t lanesAllocated() const { return slots_.size(); }
 
   private:
     struct Slot

@@ -52,8 +52,7 @@ Machine::Machine(const Graph &graph, const Placement &placement,
                  const Topology &topo, const MachineConfig &config,
                  BackingStore &store)
     : graph_(graph), placement_(placement), topo_(topo), config_(config),
-      store_(store), memsys_(config.memsys, store),
-      disp_(buildDispatchTables(graph, placement, config.energy))
+      store_(store), memsys_(config.memsys, store)
 {
     NUPEA_ASSERT(config_.clockDivider >= 1);
     NUPEA_ASSERT(config_.fifoDepth >= 1);
@@ -67,18 +66,20 @@ Machine::Machine(const Graph &graph, const Placement &placement,
     mm.clockDivider = config_.clockDivider;
     memModel_ = makeMemAccessModel(mm, topo_, memsys_);
 
+    buildDispatchTables();
+
     std::size_t n = graph_.numNodes();
-    tokens_.init(disp_.numPorts,
+    tokens_.init(inPorts_.size(),
                  static_cast<std::size_t>(config_.fifoDepth));
-    pending_.init(disp_.memNodes.size(),
+    pending_.init(memNodes_.size(),
                   static_cast<std::size_t>(config_.maxOutstanding));
 
     // Immediates live in their ring as one resident, always-visible
     // token (never popped, never emitted into), so portVisible() is a
     // plain ring probe.
-    for (std::uint32_t p = 0; p < disp_.numPorts; ++p) {
-        if (disp_.inPorts[p].isImm)
-            tokens_.push(p, Token{disp_.inPorts[p].imm, 0});
+    for (std::uint32_t p = 0; p < inPorts_.size(); ++p) {
+        if (inPorts_[p].isImm)
+            tokens_.push(p, Token{inPorts_[p].imm, 0});
     }
 
     mergeState_.assign(n, MergeState::Init);
@@ -93,7 +94,7 @@ Machine::Machine(const Graph &graph, const Placement &placement,
     listNow_.reserve(n);
     listNext_.reserve(n);
     for (NodeId id = 0; id < n; ++id) {
-        if (disp_.lanes[id].op == Op::Source) {
+        if (rows_[id].op == Op::Source) {
             sourcePending_[id] = 1;
             listNext_.push_back(id);
             inNext_[id] = 1;
@@ -112,6 +113,86 @@ Machine::Machine(const Graph &graph, const Placement &placement,
         for (NodeId id = 0; id < n; ++id)
             config_.trace->onNodeMeta(id, opName(graph_.node(id).op),
                                       placement_.of(id));
+    }
+}
+
+void
+Machine::buildDispatchTables()
+{
+    std::size_t n = graph_.numNodes();
+    NUPEA_ASSERT(placement_.pos.size() == n,
+                 "placement does not cover the graph");
+    const EnergyParams &energy = config_.energy;
+
+    // Pass 1: per-node dispatch rows — opcode traits, flat port
+    // bases, placement tile, per-firing energy. After this pass the
+    // scheduling loop never consults graph_ / opTraits() again.
+    rows_.resize(n);
+    std::uint32_t num_ports = 0;
+    for (NodeId id = 0; id < n; ++id) {
+        const Node &node = graph_.node(id);
+        const OpTraits &traits = opTraits(node.op);
+        NodeRow &row = rows_[id];
+        row.op = node.op;
+        row.fu = traits.fu;
+        row.combinational = traits.combinational;
+        row.isMemory = traits.isMemory;
+        row.numInputs = static_cast<std::uint8_t>(node.inputs.size());
+        row.portBase = num_ports;
+        num_ports += row.numInputs;
+        row.coord = placement_.of(id);
+        switch (traits.fu) {
+          case FuClass::Arith:
+            row.fireEnergy = energy.arithFire;
+            break;
+          case FuClass::Control:
+            row.fireEnergy = energy.controlFire;
+            break;
+          case FuClass::Mem:
+            row.fireEnergy = energy.memIssue;
+            break;
+          case FuClass::XData:
+            row.fireEnergy = energy.xdataFire;
+            break;
+        }
+        if (traits.isMemory) {
+            row.memIndex = static_cast<std::int32_t>(memNodes_.size());
+            memNodes_.push_back(id);
+        }
+    }
+
+    // Pass 2: flat input connections and fanout edges. dstPort is a
+    // tokens_ ring index and hopEnergy the exact per-token data-NoC
+    // charge, so emit() is a pure table walk.
+    inPorts_.resize(num_ports);
+    const auto &fanout = graph_.fanout();
+    std::size_t num_edges = 0;
+    for (NodeId id = 0; id < n; ++id)
+        num_edges += fanout[id].size();
+    outEdges_.reserve(num_edges);
+    for (NodeId id = 0; id < n; ++id) {
+        const Node &node = graph_.node(id);
+        NodeRow &row = rows_[id];
+        for (std::size_t p = 0; p < node.inputs.size(); ++p) {
+            const InputConn &in = node.inputs[p];
+            InPort &port = inPorts_[row.portBase + p];
+            port.src = in.src;
+            port.imm = in.imm;
+            port.isImm = in.isImm;
+            if (in.isImm)
+                row.immMask |= static_cast<std::uint8_t>(1u << p);
+        }
+        row.outBase = static_cast<std::uint32_t>(outEdges_.size());
+        for (const PortRef &dst : fanout[id]) {
+            OutEdge edge;
+            edge.dst = dst.node;
+            edge.dstPort = rows_[dst.node].portBase + dst.port;
+            edge.hopEnergy = energy.noCHopPerToken *
+                             row.coord.manhattan(rows_[dst.node].coord);
+            outEdges_.push_back(edge);
+        }
+        row.outCount =
+            static_cast<std::uint32_t>(outEdges_.size()) - row.outBase;
     }
 }
 
@@ -157,20 +238,12 @@ Machine::portVisible(std::uint32_t p, Word &value) const
     return true;
 }
 
-bool
-Machine::inputVisible(NodeId id, int port, Word &value) const
-{
-    return portVisible(disp_.lanes[id].portBase +
-                           static_cast<std::uint32_t>(port),
-                       value);
-}
-
 void
 Machine::popInput(NodeId id, int port)
 {
     std::uint32_t p =
-        disp_.lanes[id].portBase + static_cast<std::uint32_t>(port);
-    const InPort &in = disp_.inPorts[p];
+        rows_[id].portBase + static_cast<std::uint32_t>(port);
+    const InPort &in = inPorts_[p];
     if (in.isImm)
         return;
     tokens_.pop(p);
@@ -182,9 +255,9 @@ Machine::popInput(NodeId id, int port)
 bool
 Machine::outputsHaveCredit(NodeId id) const
 {
-    const NodeLane &lane = disp_.lanes[id];
-    const OutEdge *edge = disp_.outEdges.data() + lane.outBase;
-    for (std::uint32_t k = 0; k < lane.outCount; ++k, ++edge) {
+    const NodeRow &row = rows_[id];
+    const OutEdge *edge = outEdges_.data() + row.outBase;
+    for (std::uint32_t k = 0; k < row.outCount; ++k, ++edge) {
         if (tokens_.full(edge->dstPort))
             return false;
     }
@@ -194,9 +267,9 @@ Machine::outputsHaveCredit(NodeId id) const
 void
 Machine::emit(NodeId id, Word value, Cycle visible_at)
 {
-    const NodeLane &lane = disp_.lanes[id];
-    const OutEdge *edge = disp_.outEdges.data() + lane.outBase;
-    for (std::uint32_t k = 0; k < lane.outCount; ++k, ++edge) {
+    const NodeRow &row = rows_[id];
+    const OutEdge *edge = outEdges_.data() + row.outBase;
+    for (std::uint32_t k = 0; k < row.outCount; ++k, ++edge) {
         result_.energy.network += edge->hopEnergy;
         // TokenArena::push asserts ring capacity: emit without credit
         // is a scheduler bug.
@@ -212,16 +285,16 @@ Machine::emit(NodeId id, Word value, Cycle visible_at)
 }
 
 void
-Machine::fireProlog(NodeId id, const NodeLane &lane)
+Machine::fireProlog(NodeId id, const NodeRow &row)
 {
     ++result_.firings;
-    if (lane.fu == FuClass::Mem)
-        result_.energy.memory += lane.fireEnergy;
+    if (row.fu == FuClass::Mem)
+        result_.energy.memory += row.fireEnergy;
     else
-        result_.energy.compute += lane.fireEnergy;
+        result_.energy.compute += row.fireEnergy;
     firedAt_[id] = now_;
     if (config_.trace)
-        config_.trace->onFire(now_, id, opName(lane.op), lane.coord);
+        config_.trace->onFire(now_, id, opName(row.op), row.coord);
     // The node may have more queued work next cycle.
     activate(id, now_ + 1);
 }
@@ -229,26 +302,26 @@ Machine::fireProlog(NodeId id, const NodeLane &lane)
 bool
 Machine::tryFire(NodeId id)
 {
-    const NodeLane &lane = disp_.lanes[id];
-    const Cycle out_cycle = lane.combinational ? now_ : now_ + 1;
+    const NodeRow &row = rows_[id];
+    const Cycle out_cycle = row.combinational ? now_ : now_ + 1;
     Word a = 0, b = 0, c = 0;
     // Readiness order within each op: operands before consumer
     // credit — both are pure predicates, and the operand probe
     // touches this node's own rings while the credit scan walks
     // every consumer's, so it is the cheaper one to fail on.
-    switch (lane.op) {
+    switch (row.op) {
       case Op::Source:
         if (!sourcePending_[id] || !outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         sourcePending_[id] = 0;
         emit(id, graph_.node(id).imm, out_cycle);
         return true;
 
       case Op::Sink: {
-        if (!portVisible(lane.portBase, a))
+        if (!portVisible(row.portBase, a))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 0);
         SinkRecord &rec = sinkRec_[id];
         ++rec.count;
@@ -259,22 +332,22 @@ Machine::tryFire(NodeId id)
 
       case Op::LoopMerge:
         if (mergeState_[id] == MergeState::Init) {
-            if (!portVisible(lane.portBase + 0, a) ||
+            if (!portVisible(row.portBase + 0, a) ||
                 !outputsHaveCredit(id))
                 return false;
-            fireProlog(id, lane);
+            fireProlog(id, row);
             popInput(id, 0);
             mergeState_[id] = MergeState::Ctrl;
             emit(id, a, out_cycle);
             return true;
         }
-        if (!portVisible(lane.portBase + 2, c))
+        if (!portVisible(row.portBase + 2, c))
             return false;
-        if (c != 0 && !portVisible(lane.portBase + 1, a))
+        if (c != 0 && !portVisible(row.portBase + 1, a))
             return false;
         if (!outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 2);
         if (c != 0) {
             popInput(id, 1);
@@ -286,20 +359,20 @@ Machine::tryFire(NodeId id)
 
       case Op::Invariant:
         if (holdState_[id] == HoldState::Empty) {
-            if (!portVisible(lane.portBase + 0, a) ||
+            if (!portVisible(row.portBase + 0, a) ||
                 !outputsHaveCredit(id))
                 return false;
-            fireProlog(id, lane);
+            fireProlog(id, row);
             popInput(id, 0);
             heldValue_[id] = a;
             holdState_[id] = HoldState::Held;
             emit(id, a, out_cycle);
             return true;
         }
-        if (!portVisible(lane.portBase + 1, c) ||
+        if (!portVisible(row.portBase + 1, c) ||
             !outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 1);
         if (c != 0)
             emit(id, heldValue_[id], out_cycle);
@@ -309,19 +382,19 @@ Machine::tryFire(NodeId id)
 
       case Op::InvariantGated:
         if (holdState_[id] == HoldState::Empty) {
-            if (!portVisible(lane.portBase + 0, a) ||
+            if (!portVisible(row.portBase + 0, a) ||
                 !outputsHaveCredit(id))
                 return false;
-            fireProlog(id, lane);
+            fireProlog(id, row);
             popInput(id, 0);
             heldValue_[id] = a;
             holdState_[id] = HoldState::Held;
             return true;
         }
-        if (!portVisible(lane.portBase + 1, c) ||
+        if (!portVisible(row.portBase + 1, c) ||
             !outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 1);
         if (c != 0)
             emit(id, heldValue_[id], out_cycle);
@@ -331,24 +404,24 @@ Machine::tryFire(NodeId id)
 
       case Op::SteerTrue:
       case Op::SteerFalse:
-        if (!portVisible(lane.portBase + 0, c) ||
-            !portVisible(lane.portBase + 1, a) ||
+        if (!portVisible(row.portBase + 0, c) ||
+            !portVisible(row.portBase + 1, a) ||
             !outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 0);
         popInput(id, 1);
-        if ((c != 0) == (lane.op == Op::SteerTrue))
+        if ((c != 0) == (row.op == Op::SteerTrue))
             emit(id, a, out_cycle);
         return true;
 
       case Op::Select:
-        if (!portVisible(lane.portBase + 0, c) ||
-            !portVisible(lane.portBase + 1, a) ||
-            !portVisible(lane.portBase + 2, b) ||
+        if (!portVisible(row.portBase + 0, c) ||
+            !portVisible(row.portBase + 1, a) ||
+            !portVisible(row.portBase + 2, b) ||
             !outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 0);
         popInput(id, 1);
         popInput(id, 2);
@@ -359,25 +432,25 @@ Machine::tryFire(NodeId id)
       case Op::Store: {
         if (outstanding_[id] >= config_.maxOutstanding)
             return false;
-        const bool is_store = lane.op == Op::Store;
-        if (!portVisible(lane.portBase + 0, a)) // address
+        const bool is_store = row.op == Op::Store;
+        if (!portVisible(row.portBase + 0, a)) // address
             return false;
         Word data = 0;
-        if (is_store && !portVisible(lane.portBase + 1, data))
+        if (is_store && !portVisible(row.portBase + 1, data))
             return false;
         // Any further inputs (ordering tokens) must be present too.
-        for (std::uint32_t p = is_store ? 2u : 1u; p < lane.numInputs;
+        for (std::uint32_t p = is_store ? 2u : 1u; p < row.numInputs;
              ++p) {
-            if (!portVisible(lane.portBase + p, b))
+            if (!portVisible(row.portBase + p, b))
                 return false;
         }
-        fireProlog(id, lane);
-        for (std::uint32_t p = 0; p < lane.numInputs; ++p)
+        fireProlog(id, row);
+        for (std::uint32_t p = 0; p < row.numInputs; ++p)
             popInput(id, static_cast<int>(p));
 
         Cycle issue_sys = now_ * static_cast<Cycle>(config_.clockDivider);
         MemAccessOutcome out = memModel_->access(
-            lane.coord, static_cast<Addr>(a), is_store, data, issue_sys);
+            row.coord, static_cast<Addr>(a), is_store, data, issue_sys);
         if (config_.trace)
             config_.trace->onMemIssue(issue_sys, out.completeAt, id,
                                       static_cast<Addr>(a), is_store,
@@ -413,7 +486,7 @@ Machine::tryFire(NodeId id)
         Cycle div = static_cast<Cycle>(config_.clockDivider);
         Cycle fabric_ready =
             std::max<Cycle>((out.completeAt + div - 1) / div, now_ + 1);
-        pending_.push(static_cast<std::size_t>(lane.memIndex),
+        pending_.push(static_cast<std::size_t>(row.memIndex),
                       PendingResponse{
                           is_store ? Word{0} : out.data,
                           static_cast<std::uint32_t>(fabric_ready)});
@@ -425,25 +498,25 @@ Machine::tryFire(NodeId id)
 
       case Op::Neg:
       case Op::Not:
-        if (!portVisible(lane.portBase + 0, a) ||
+        if (!portVisible(row.portBase + 0, a) ||
             !outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 0);
-        emit(id, evalUnary(lane.op, a), out_cycle);
+        emit(id, evalUnary(row.op, a), out_cycle);
         return true;
 
       default:
-        NUPEA_ASSERT(opIsBinaryArith(lane.op), "unhandled op ",
-                     opName(lane.op));
-        if (!portVisible(lane.portBase + 0, a) ||
-            !portVisible(lane.portBase + 1, b) ||
+        NUPEA_ASSERT(opIsBinaryArith(row.op), "unhandled op ",
+                     opName(row.op));
+        if (!portVisible(row.portBase + 0, a) ||
+            !portVisible(row.portBase + 1, b) ||
             !outputsHaveCredit(id))
             return false;
-        fireProlog(id, lane);
+        fireProlog(id, row);
         popInput(id, 0);
         popInput(id, 1);
-        emit(id, evalBinary(lane.op, a, b), out_cycle);
+        emit(id, evalBinary(row.op, a, b), out_cycle);
         return true;
     }
 }
@@ -453,10 +526,10 @@ Machine::deliverResponses()
 {
     // Deliver the oldest due response of every memory node (one per
     // node per cycle: the PE's single output port).
-    for (std::size_t m = 0; m < disp_.memNodes.size(); ++m) {
+    for (std::size_t m = 0; m < memNodes_.size(); ++m) {
         if (pending_.empty(m) || pending_.front(m).fabricReady > now_)
             continue;
-        NodeId id = disp_.memNodes[m];
+        NodeId id = memNodes_[m];
         if (!outputsHaveCredit(id)) {
             // The due-but-blocked response flips this node's
             // classification (MemWait -> RespUndeliverable) without
@@ -482,9 +555,9 @@ Machine::deliverResponses()
 StallReason
 Machine::classifyStall(NodeId id) const
 {
-    const NodeLane &lane = disp_.lanes[id];
-    const std::size_t mi = static_cast<std::size_t>(lane.memIndex);
-    const bool has_pending = lane.memIndex >= 0 && !pending_.empty(mi);
+    const NodeRow &row = rows_[id];
+    const std::size_t mi = static_cast<std::size_t>(row.memIndex);
+    const bool has_pending = row.memIndex >= 0 && !pending_.empty(mi);
 
     // A due response that cannot leave the PE is the most actionable
     // reason: the consumer, not this node, is the bottleneck.
@@ -495,7 +568,7 @@ Machine::classifyStall(NodeId id) const
     bool operands = true; ///< all operands the op needs are visible
     bool engaged = false; ///< holds mid-computation state
     Word v;
-    switch (lane.op) {
+    switch (row.op) {
       case Op::Source:
         if (!sourcePending_[id])
             operands = false; // nothing left to emit, ever
@@ -505,23 +578,23 @@ Machine::classifyStall(NodeId id) const
       case Op::LoopMerge:
         engaged = mergeState_[id] != MergeState::Init;
         if (mergeState_[id] == MergeState::Init) {
-            operands = portVisible(lane.portBase + 0, v);
-        } else if (!portVisible(lane.portBase + 2, v)) {
+            operands = portVisible(row.portBase + 0, v);
+        } else if (!portVisible(row.portBase + 2, v)) {
             operands = false;
         } else {
-            operands = v == 0 || portVisible(lane.portBase + 1, v);
+            operands = v == 0 || portVisible(row.portBase + 1, v);
         }
         break;
       case Op::Invariant:
       case Op::InvariantGated:
         engaged = holdState_[id] != HoldState::Empty;
         operands = portVisible(
-            lane.portBase + (holdState_[id] == HoldState::Empty ? 0 : 1),
+            row.portBase + (holdState_[id] == HoldState::Empty ? 0 : 1),
             v);
         break;
       default:
-        for (std::uint32_t p = 0; operands && p < lane.numInputs; ++p)
-            operands = portVisible(lane.portBase + p, v);
+        for (std::uint32_t p = 0; operands && p < row.numInputs; ++p)
+            operands = portVisible(row.portBase + p, v);
         break;
     }
 
@@ -529,15 +602,15 @@ Machine::classifyStall(NodeId id) const
         // Operands present but the node did not fire: memory ops are
         // only ever gated by the outstanding cap (they need no output
         // credit to issue); everything else is consumer backpressure.
-        if (lane.isMemory)
+        if (row.isMemory)
             return StallReason::OutstandingCap;
         return StallReason::Backpressure;
     }
     if (!engaged) {
         // Resident immediate tokens don't count as queued work.
-        for (std::uint32_t p = 0; p < lane.numInputs; ++p) {
-            if (!(lane.immMask >> p & 1) &&
-                !tokens_.empty(lane.portBase + p)) {
+        for (std::uint32_t p = 0; p < row.numInputs; ++p) {
+            if (!(row.immMask >> p & 1) &&
+                !tokens_.empty(row.portBase + p)) {
                 engaged = true;
                 break;
             }
@@ -558,7 +631,7 @@ Machine::closeSpan(NodeId id, StallReason reason, Cycle upTo)
         return;
     auto ri = static_cast<std::size_t>(reason);
     nodeStalls_[id].cycles[ri] += span;
-    classStalls_[static_cast<std::size_t>(disp_.lanes[id].fu)][ri] += span;
+    classStalls_[static_cast<std::size_t>(rows_[id].fu)][ri] += span;
 }
 
 void
@@ -621,7 +694,7 @@ Machine::flushAttribution()
     }
     // Per-node rows only for memory nodes: they are the subjects of
     // the paper's attribution questions and there are few of them.
-    for (NodeId id : disp_.memNodes) {
+    for (NodeId id : memNodes_) {
         for (std::size_t ri = 0; ri < kNumStallReasons; ++ri) {
             if (nodeStalls_[id].cycles[ri] == 0)
                 continue;
@@ -640,34 +713,34 @@ Machine::checkCleanliness()
 {
     result_.clean = true;
     for (NodeId id = 0; id < graph_.numNodes(); ++id) {
-        const NodeLane &lane = disp_.lanes[id];
-        for (std::uint32_t p = 0; p < lane.numInputs; ++p) {
+        const NodeRow &row = rows_[id];
+        for (std::uint32_t p = 0; p < row.numInputs; ++p) {
             // Resident immediate tokens are not stranded work.
-            if (!(lane.immMask >> p & 1) &&
-                !tokens_.empty(lane.portBase + p)) {
+            if (!(row.immMask >> p & 1) &&
+                !tokens_.empty(row.portBase + p)) {
                 result_.clean = false;
                 result_.problem = formatMessage(
-                    "token stranded at node ", id, " (", opName(lane.op),
+                    "token stranded at node ", id, " (", opName(row.op),
                     ") port ", p);
                 return;
             }
         }
-        if ((lane.op == Op::Invariant || lane.op == Op::InvariantGated) &&
+        if ((row.op == Op::Invariant || row.op == Op::InvariantGated) &&
             holdState_[id] == HoldState::Held) {
             result_.clean = false;
             result_.problem =
                 formatMessage("invariant ", id, " still holds a value");
             return;
         }
-        if (lane.op == Op::LoopMerge &&
+        if (row.op == Op::LoopMerge &&
             mergeState_[id] != MergeState::Init) {
             result_.clean = false;
             result_.problem =
                 formatMessage("merge ", id, " not in init state");
             return;
         }
-        if (lane.memIndex >= 0 &&
-            !pending_.empty(static_cast<std::size_t>(lane.memIndex))) {
+        if (row.memIndex >= 0 &&
+            !pending_.empty(static_cast<std::size_t>(row.memIndex))) {
             result_.clean = false;
             result_.problem = formatMessage(
                 "memory node ", id, " has undelivered responses");
@@ -733,8 +806,8 @@ Machine::run()
                 now_ = wakeups_.top();
                 // Queue every memory node with pending responses for
                 // the cycle we jumped to (the next loop iteration).
-                for (std::size_t m = 0; m < disp_.memNodes.size(); ++m) {
-                    NodeId id = disp_.memNodes[m];
+                for (std::size_t m = 0; m < memNodes_.size(); ++m) {
+                    NodeId id = memNodes_[m];
                     if (!pending_.empty(m) && !inNext_[id]) {
                         inNext_[id] = 1;
                         listNext_.push_back(id);
@@ -759,7 +832,7 @@ Machine::run()
     // consumed at least one token (ascending id keeps the map order
     // identical to on-the-fly insertion).
     for (NodeId id = 0; id < graph_.numNodes(); ++id) {
-        if (disp_.lanes[id].op == Op::Sink && sinkRec_[id].count > 0)
+        if (rows_[id].op == Op::Sink && sinkRec_[id].count > 0)
             result_.sinks[id] = sinkRec_[id];
     }
 

@@ -48,7 +48,6 @@
 #include "fabric/topology.h"
 #include "memory/backing_store.h"
 #include "memory/memsys.h"
-#include "sim/dispatch.h"
 #include "sim/energy.h"
 #include "sim/mem_model.h"
 #include "sim/token_arena.h"
@@ -179,6 +178,40 @@ class Machine
     RunResult run();
 
   private:
+    /** One input connection, flattened for the hot loop. */
+    struct InPort
+    {
+        NodeId src = kInvalidId; ///< producer node; kInvalidId for imm
+        Word imm = 0;
+        bool isImm = false;
+    };
+
+    /** One fanout edge with its arena destination precomputed. */
+    struct OutEdge
+    {
+        NodeId dst = kInvalidId;
+        std::uint32_t dstPort = 0; ///< flat ring index in tokens_
+        double hopEnergy = 0.0;    ///< data-NoC energy per token
+    };
+
+    /** Per-node dispatch row: everything the scheduling loop needs,
+     *  resolved from Graph / opTraits() / Placement at construction. */
+    struct NodeRow
+    {
+        Op op = Op::Sink;
+        FuClass fu = FuClass::XData;
+        bool combinational = false;
+        bool isMemory = false;
+        std::uint8_t numInputs = 0;
+        std::uint8_t immMask = 0;   ///< bit p set: input p is immediate
+        std::uint32_t portBase = 0; ///< first flat ring in tokens_
+        std::uint32_t outBase = 0;  ///< first OutEdge in outEdges_
+        std::uint32_t outCount = 0;
+        std::int32_t memIndex = -1; ///< ring in pending_; -1 if not mem
+        Coord coord;                ///< placement tile
+        double fireEnergy = 0.0;    ///< per-firing FU energy
+    };
+
     /** 8-byte packed FIFO entry: cycles fit in 32 bits because the
      *  watchdog bounds a run to well under 2^32 fabric cycles (checked
      *  at construction). Halving the entry keeps twice as many ring
@@ -200,7 +233,11 @@ class Machine
         std::uint32_t fabricReady; ///< earliest delivery fabric cycle
     };
 
-    bool inputVisible(NodeId id, int port, Word &value) const;
+    /** Resolve graph_ + placement_ into the dispatch tables (rows_,
+     *  inPorts_, outEdges_, memNodes_), baking in the per-firing FU
+     *  and per-token data-NoC energy of config_.energy. */
+    void buildDispatchTables();
+
     bool portVisible(std::uint32_t p, Word &value) const;
     void popInput(NodeId id, int port);
     bool outputsHaveCredit(NodeId id) const;
@@ -210,7 +247,7 @@ class Machine
      *  No side effects when the node is not ready. */
     bool tryFire(NodeId id);
     /** Common bookkeeping once a node is committed to firing. */
-    void fireProlog(NodeId id, const NodeLane &lane);
+    void fireProlog(NodeId id, const NodeRow &row);
     /** Schedule a readiness re-check for `id` at `cycle`. */
     void activate(NodeId id, Cycle cycle);
 
@@ -241,15 +278,19 @@ class Machine
     Cycle now_ = 0; ///< current fabric cycle
     bool attrOn_ = false; ///< config_.stallAttribution, hot copy
 
-    /** Flat per-node dispatch tables (built once, read-only; see
-     *  sim/dispatch.h — shared layout with the batched LaneMachine). */
-    DispatchTables disp_;
+    /** @{ Flat dispatch tables, built once at construction and
+     *  read-only afterwards. */
+    std::vector<NodeRow> rows_;     ///< indexed by NodeId
+    std::vector<InPort> inPorts_;   ///< indexed by flat port
+    std::vector<OutEdge> outEdges_; ///< indexed by NodeRow::outBase
+    std::vector<NodeId> memNodes_;  ///< ascending; NodeRow::memIndex
+    /** @} */
 
     /** Operand FIFOs: one ring per (node, input port). Immediate
      *  operands are materialized as a permanently-resident,
      *  always-visible token in their ring, so the visibility check
      *  needs no per-port immediate branch; popInput() and the
-     *  engaged/cleanliness scans exempt them via NodeLane::immMask. */
+     *  engaged/cleanliness scans exempt them via NodeRow::immMask. */
     TokenArena<Token> tokens_;
     std::vector<MergeState> mergeState_;
     std::vector<HoldState> holdState_;
@@ -264,7 +305,7 @@ class Machine
     std::vector<SinkRecord> sinkRec_;
 
     /** In-flight responses: one ring per memory node (issue order,
-     *  capacity maxOutstanding), indexed by NodeLane::memIndex. */
+     *  capacity maxOutstanding), indexed by NodeRow::memIndex. */
     TokenArena<PendingResponse> pending_;
     std::vector<int> outstanding_;
     /** Total in-flight responses across all memory nodes, so the

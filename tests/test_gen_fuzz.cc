@@ -12,7 +12,9 @@
  *
  * The curated generated registry (generatedWorkloadNames) gets the
  * same treatment through the bench harness's compileWorkload, which
- * is what the sweep drivers use.
+ * is what the sweep drivers use. A second fuzz runs batches of
+ * random configs on one reused StoreBank lane, as a sweep worker
+ * does, against fresh-store runs.
  */
 
 #include <gtest/gtest.h>
@@ -141,6 +143,151 @@ TEST_P(GenFuzz, RandomShapeSurvivesPipeline)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GenFuzz,
                          ::testing::Range<std::uint64_t>(1, 201));
+
+void
+expectDistEqual(const Distribution &a, const Distribution &b,
+                const std::string &who)
+{
+    EXPECT_EQ(a.count(), b.count()) << who;
+    EXPECT_EQ(a.sum(), b.sum()) << who;
+    EXPECT_EQ(a.min(), b.min()) << who;
+    EXPECT_EQ(a.max(), b.max()) << who;
+}
+
+/** Full observable equality between two runs of one config. Doubles
+ *  compare bitwise: the same values accumulated in a different order
+ *  would fail, by design. */
+void
+expectRunsEqual(const RunResult &a, const RunResult &b,
+                const std::string &who)
+{
+    EXPECT_EQ(a.finished, b.finished) << who;
+    EXPECT_EQ(a.clean, b.clean) << who;
+    EXPECT_EQ(a.problem, b.problem) << who;
+    EXPECT_EQ(a.fabricCycles, b.fabricCycles) << who;
+    EXPECT_EQ(a.systemCycles, b.systemCycles) << who;
+    EXPECT_EQ(a.firings, b.firings) << who;
+    EXPECT_EQ(a.loads, b.loads) << who;
+    EXPECT_EQ(a.stores, b.stores) << who;
+
+    ASSERT_EQ(a.sinks.size(), b.sinks.size()) << who;
+    for (const auto &[node, rec] : a.sinks) {
+        auto it = b.sinks.find(node);
+        ASSERT_NE(it, b.sinks.end()) << who << " sink " << node;
+        EXPECT_EQ(rec.count, it->second.count) << who << " sink " << node;
+        EXPECT_EQ(rec.last, it->second.last) << who << " sink " << node;
+        EXPECT_EQ(rec.sum, it->second.sum) << who << " sink " << node;
+    }
+
+    EXPECT_EQ(a.energy.compute, b.energy.compute) << who;
+    EXPECT_EQ(a.energy.network, b.energy.network) << who;
+    EXPECT_EQ(a.energy.memory, b.energy.memory) << who;
+
+    EXPECT_EQ(a.stats.counters(), b.stats.counters()) << who;
+    ASSERT_EQ(a.stats.dists().size(), b.stats.dists().size()) << who;
+    for (const auto &[name, dist] : a.stats.dists()) {
+        auto it = b.stats.dists().find(name);
+        ASSERT_NE(it, b.stats.dists().end()) << who << " dist " << name;
+        expectDistEqual(dist, it->second, who + " dist " + name);
+    }
+
+    ASSERT_EQ(a.nodeStalls.size(), b.nodeStalls.size()) << who;
+    for (std::size_t id = 0; id < a.nodeStalls.size(); ++id) {
+        EXPECT_EQ(a.nodeStalls[id].cycles, b.nodeStalls[id].cycles)
+            << who << " node " << id;
+    }
+    ASSERT_EQ(a.nodeMemLatency.size(), b.nodeMemLatency.size()) << who;
+    for (std::size_t id = 0; id < a.nodeMemLatency.size(); ++id) {
+        expectDistEqual(a.nodeMemLatency[id], b.nodeMemLatency[id],
+                        formatMessage(who, " mem-latency node ", id));
+    }
+}
+
+/**
+ * Store-reuse fuzz. A sweep worker runs its points back to back on
+ * one StoreBank lane, resetTo() the compiled image before each. A
+ * batch of three seed-randomized configs of one random shape, run on
+ * such a lane, must match fresh-store runs point for point: every
+ * RunResult field and the final memory image. A reset that misses a
+ * word an earlier point dirtied shows up as a divergent later point.
+ */
+class LaneGenFuzz : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(LaneGenFuzz, RandomShapeBatchMatchesScalar)
+{
+    const std::uint64_t seed = GetParam();
+    Rng rng(seed);
+    GeneratorSpec spec = GeneratorSpec::random(rng);
+    const std::string who = formatMessage(
+        "[lane-fuzz seed=", seed, " spec=", spec.name(), "]");
+
+    auto wl = makeGeneratedWorkload(spec, /*seed=*/42);
+    const std::size_t mem_bytes = MemSysConfig{}.memBytes;
+    BackingStore image(mem_bytes);
+    wl->init(image);
+    Graph graph = wl->build(1);
+    ASSERT_TRUE(graph.validate().empty()) << who;
+
+    Topology topo = Topology::makeMonaco(12, 12);
+    PnrOptions popts;
+    popts.place.iterationsPerNode = 40;
+    popts.place.seed = seed;
+    PnrResult pnr = placeAndRoute(graph, topo, popts);
+    ASSERT_TRUE(pnr.success) << who << ": " << pnr.failureReason;
+
+    StoreBank bank;
+    Rng cfg_rng(seed * 977 + 5);
+    for (int point = 0; point < 3; ++point) {
+        MachineConfig cfg;
+        cfg.fifoDepth = 1 << cfg_rng.below(3); // 1, 2, 4
+        cfg.maxOutstanding = 1 + static_cast<int>(cfg_rng.below(4));
+        cfg.clockDivider = 1 + static_cast<int>(cfg_rng.below(3));
+        switch (cfg_rng.below(3)) {
+          case 0:
+            cfg.mem.model = MemModel::Monaco;
+            break;
+          case 1:
+            cfg.mem.model = MemModel::Upea;
+            cfg.mem.upeaLatency = static_cast<int>(cfg_rng.below(5));
+            break;
+          default:
+            cfg.mem.model = MemModel::NumaUpea;
+            cfg.mem.upeaLatency = 1 + static_cast<int>(cfg_rng.below(4));
+            break;
+        }
+        cfg.mem.seed = 1 + cfg_rng.below(100);
+        cfg.memsys.memBytes = mem_bytes;
+        cfg.stallAttribution = cfg_rng.below(2) == 1;
+        const std::string point_who = formatMessage(who, " point ", point);
+
+        BackingStore &lane = bank.acquire(0, mem_bytes, image.allocated());
+        lane.resetTo(image);
+        Machine batched(graph, pnr.placement, topo, cfg, lane);
+        RunResult b = batched.run();
+
+        BackingStore fresh(mem_bytes);
+        fresh.resetTo(image);
+        Machine scalar(graph, pnr.placement, topo, cfg, fresh);
+        RunResult a = scalar.run();
+
+        ASSERT_TRUE(a.finished && a.clean) << point_who << ": " << a.problem;
+        expectRunsEqual(a, b, point_who);
+        EXPECT_EQ(fresh.raw(), lane.raw()) << point_who;
+        std::string why;
+        EXPECT_TRUE(wl->verify(lane, &why)) << point_who << ": " << why;
+        if (cfg.stallAttribution) {
+            const auto fabric = static_cast<std::uint64_t>(b.fabricCycles);
+            for (std::size_t id = 0; id < b.nodeStalls.size(); ++id) {
+                EXPECT_EQ(b.nodeStalls[id].total(), fabric)
+                    << point_who << " node " << id;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LaneGenFuzz,
+                         ::testing::Range<std::uint64_t>(1, 51));
 
 /** Random specs round-trip through the grammar. */
 TEST(GenSpec, RandomSpecsRoundTripThroughGrammar)

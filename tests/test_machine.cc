@@ -2,15 +2,20 @@
  * @file
  * Cycle-level machine tests: functional equivalence with the untimed
  * interpreter, timing sanity (NUPEA domain latency, UPEA sweeps,
- * NUMA locality, clock divider), backpressure, and termination.
+ * NUMA locality, clock divider), backpressure, and termination; plus
+ * the TokenArena rings the Machine's FIFOs live in, checked against a
+ * std::deque reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
 
+#include "common/rng.h"
 #include "compiler/pnr.h"
 #include "sim/machine.h"
+#include "sim/token_arena.h"
 #include "sim/trace.h"
 #include "test_support.h"
 
@@ -384,6 +389,61 @@ TEST(Machine, DeterministicAcrossRuns)
         return r.fabricCycles;
     };
     EXPECT_EQ(once(), once());
+}
+
+TEST(TokenArena, MatchesDequeReferenceModel)
+{
+    // Seeded random push/pop sequences over several rings, against
+    // one std::deque per ring. Phases alternate between fill-biased
+    // and drain-biased so every ring repeatedly reaches both full and
+    // empty while its head wraps around many times.
+    constexpr std::size_t kRings = 5;
+    constexpr int kOps = 4000;
+    for (std::size_t depth = 1; depth <= 4; ++depth) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "depth " << depth << " seed " << seed);
+            TokenArena<std::uint64_t> arena;
+            arena.init(kRings, depth);
+            std::vector<std::deque<std::uint64_t>> model(kRings);
+            std::vector<std::size_t> pushes(kRings, 0);
+            Rng rng(seed);
+            std::uint64_t next_value = 0;
+            for (int op = 0; op < kOps; ++op) {
+                std::size_t r = rng.below(kRings);
+                double fill_bias = (op / 64) % 2 == 0 ? 0.7 : 0.3;
+                bool push = model[r].empty() ||
+                            (model[r].size() < depth &&
+                             rng.chance(fill_bias));
+                if (push) {
+                    arena.push(r, next_value);
+                    model[r].push_back(next_value);
+                    ++next_value;
+                    ++pushes[r];
+                } else {
+                    arena.pop(r);
+                    model[r].pop_front();
+                }
+                for (std::size_t q = 0; q < kRings; ++q) {
+                    const std::deque<std::uint64_t> &ref = model[q];
+                    ASSERT_EQ(arena.size(q), ref.size())
+                        << "ring " << q << " after op " << op;
+                    ASSERT_EQ(arena.empty(q), ref.empty());
+                    ASSERT_EQ(arena.full(q), ref.size() == depth);
+                    const std::uint64_t *head = arena.peek(q);
+                    if (ref.empty()) {
+                        ASSERT_EQ(head, nullptr);
+                        continue;
+                    }
+                    ASSERT_NE(head, nullptr);
+                    ASSERT_EQ(*head, ref.front());
+                    ASSERT_EQ(&arena.front(q), head);
+                }
+            }
+            for (std::size_t q = 0; q < kRings; ++q)
+                EXPECT_GT(pushes[q], 50 * depth) << "ring " << q;
+        }
+    }
 }
 
 } // namespace

@@ -4,8 +4,9 @@
  * (the simulated-stats guarantees live in test_golden_stats):
  * jobs=1-vs-N result equality under chunking, first-submitted
  * exception ordering, fail-fast skip accounting, steal-heavy
- * imbalance, a many-tiny-task stress case, and the strict CLI
- * parser. Labeled `tsan` so the tsan preset races the scheduler.
+ * imbalance, a many-tiny-task stress case, the strict CLI parser,
+ * and runSweep's reused per-worker stores against fresh-store runs.
+ * Labeled `tsan` so the tsan preset races the scheduler.
  */
 
 #include <gtest/gtest.h>
@@ -292,77 +293,77 @@ TEST(SweepRunnerTest, SameLabelPointsKeepDistinctTraceFiles)
 
 TEST(SweepRunnerTest, LanesResolution)
 {
+    // There is one simulation engine and no batching knob: every
+    // spelling of `--lanes` is an unknown argument, never silently
+    // accepted.
     const char *argv1[] = {"bench", "--lanes", "4"};
-    EXPECT_EQ(parseSweepArgs(3, const_cast<char **>(argv1)).lanes, 4);
     const char *argv2[] = {"bench", "--lanes=6"};
-    EXPECT_EQ(parseSweepArgs(2, const_cast<char **>(argv2)).lanes, 6);
-    const char *argv3[] = {"bench"};
-    EXPECT_EQ(parseSweepArgs(1, const_cast<char **>(argv3)).lanes, 1);
-    const char *argv4[] = {"bench", "--lanes", "0"};
-    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv4)),
-                 FatalError);
-    const char *argv5[] = {"bench", "--lanes=x"};
-    EXPECT_THROW(parseSweepArgs(2, const_cast<char **>(argv5)),
-                 FatalError);
+    const char *argv3[] = {"bench", "--jobs", "2", "--lanes", "1"};
+    const std::pair<int, const char **> cases[] = {
+        {3, argv1}, {2, argv2}, {5, argv3}};
+    for (const auto &[argc, argv] : cases) {
+        try {
+            parseSweepArgs(argc, const_cast<char **>(argv));
+            ADD_FAILURE() << "accepted " << argv[argc - 1];
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unrecognized argument"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SweepRunnerTest, LaneBatchedSweepMatchesScalar)
 {
-    // End-to-end --lanes equality: a sweep mixing two compiled
-    // workloads, three batchable configs, and one batch-splitting
-    // config (deeper FIFOs change the arena geometry) must produce
-    // the same points in the same order as the scalar path. The
-    // exhaustive per-stat differential lives in test_machine_lanes;
-    // this pins the runSweep grouping and fallback logic.
+    // Each worker runs its points back to back on one StoreBank lane,
+    // resetTo() the point's image before each. A sweep mixing two
+    // compiled images and four configs (one with deeper FIFOs) must
+    // give, in submission order, exactly what a fresh-store
+    // runCompiled gives per point: serially, where one lane carries
+    // every point, and on three workers. The per-field store-reuse
+    // fuzz is LaneGenFuzz in test_gen_fuzz.
     CompileOptions copts;
     copts.saIterationsPerNode = 20;
     Topology topo = Topology::makeMonaco(12, 12);
     CompiledWorkload dmv = compileWorkload("dmv", topo, copts);
     CompiledWorkload ms = compileWorkload("mergesort", topo, copts);
 
-    auto makeSpecs = [&]() {
-        std::vector<RunSpec> specs;
-        specs.push_back(
-            {&dmv, primaryConfig(MemModel::Monaco, 0), "dmv/monaco"});
-        specs.push_back(
-            {&dmv, primaryConfig(MemModel::Upea, 2), "dmv/upea2"});
-        specs.push_back(
-            {&dmv, primaryConfig(MemModel::NumaUpea, 2), "dmv/numa2"});
-        RunSpec deep{&dmv, primaryConfig(MemModel::Monaco, 0),
-                     "dmv/deep-fifo"};
-        deep.config.fifoDepth = 4;
-        specs.push_back(deep);
-        specs.push_back(
-            {&ms, primaryConfig(MemModel::Monaco, 0), "ms/monaco"});
-        specs.push_back(
-            {&ms, primaryConfig(MemModel::Upea, 2), "ms/upea2"});
-        return specs;
-    };
+    std::vector<RunSpec> specs;
+    specs.push_back({&dmv, primaryConfig(MemModel::Monaco, 0), "dmv/monaco"});
+    specs.push_back({&dmv, primaryConfig(MemModel::Upea, 2), "dmv/upea2"});
+    specs.push_back({&dmv, primaryConfig(MemModel::NumaUpea, 2), "dmv/numa2"});
+    RunSpec deep{&dmv, primaryConfig(MemModel::Monaco, 0), "dmv/deep-fifo"};
+    deep.config.fifoDepth = 4;
+    specs.push_back(deep);
+    specs.push_back({&ms, primaryConfig(MemModel::Monaco, 0), "ms/monaco"});
+    specs.push_back({&ms, primaryConfig(MemModel::Upea, 2), "ms/upea2"});
 
-    SweepRunner scalar(SweepOptions{1});
-    SweepResult a = runSweep(scalar, makeSpecs());
+    std::vector<BenchRun> fresh;
+    for (const RunSpec &spec : specs)
+        fresh.push_back(runCompiled(*spec.cw, spec.config));
 
-    SweepOptions lane_opts{1};
-    lane_opts.lanes = 8;
-    SweepRunner lanes(lane_opts);
-    SweepResult b = runSweep(lanes, makeSpecs());
-
-    ASSERT_EQ(a.points.size(), b.points.size());
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        EXPECT_EQ(a.points[i].label, b.points[i].label) << i;
-        const BenchRun &ra = a.points[i].run;
-        const BenchRun &rb = b.points[i].run;
-        EXPECT_TRUE(ra.verified) << a.points[i].label;
-        EXPECT_TRUE(rb.verified) << b.points[i].label;
-        EXPECT_EQ(ra.fabricCycles, rb.fabricCycles) << i;
-        EXPECT_EQ(ra.systemCycles, rb.systemCycles) << i;
-        EXPECT_EQ(ra.firings, rb.firings) << i;
-        EXPECT_EQ(ra.loads, rb.loads) << i;
-        EXPECT_EQ(ra.stores, rb.stores) << i;
-        EXPECT_EQ(ra.energy.compute, rb.energy.compute) << i;
-        EXPECT_EQ(ra.energy.network, rb.energy.network) << i;
-        EXPECT_EQ(ra.energy.memory, rb.energy.memory) << i;
-        EXPECT_EQ(ra.stats.counters(), rb.stats.counters()) << i;
+    for (int jobs : {1, 3}) {
+        SweepRunner runner(SweepOptions{jobs});
+        SweepResult swept = runSweep(runner, specs);
+        ASSERT_EQ(swept.points.size(), specs.size()) << "jobs " << jobs;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const std::string who =
+                formatMessage("jobs ", jobs, " ", specs[i].label);
+            const BenchRun &a = fresh[i];
+            const BenchRun &b = swept.points[i].run;
+            EXPECT_EQ(swept.points[i].label, specs[i].label) << who;
+            EXPECT_TRUE(a.verified) << who;
+            EXPECT_TRUE(b.verified) << who;
+            EXPECT_EQ(a.fabricCycles, b.fabricCycles) << who;
+            EXPECT_EQ(a.systemCycles, b.systemCycles) << who;
+            EXPECT_EQ(a.firings, b.firings) << who;
+            EXPECT_EQ(a.loads, b.loads) << who;
+            EXPECT_EQ(a.stores, b.stores) << who;
+            EXPECT_EQ(a.energy.compute, b.energy.compute) << who;
+            EXPECT_EQ(a.energy.network, b.energy.network) << who;
+            EXPECT_EQ(a.energy.memory, b.energy.memory) << who;
+            EXPECT_EQ(a.stats.counters(), b.stats.counters()) << who;
+        }
     }
 }
 
