@@ -13,7 +13,8 @@
  *    a slower fabric sees relatively faster memory).
  *
  * All five sweeps share one parallel batch (--jobs N /
- * NUPEA_BENCH_JOBS); results are identical for any job count.
+ * NUPEA_BENCH_JOBS); results are identical for any job count. Exits
+ * 1 when any simulated point misses its host reference.
  */
 
 #include <cstdio>
@@ -153,6 +154,5 @@ main(int argc, char **argv)
                  10, 12);
     }
     std::printf("\n");
-    printSweepFooter(sweep);
-    return 0;
+    return printSweepFooter(sweep) == 0 ? 0 : 1;
 }

@@ -8,7 +8,8 @@
  *
  * Each (workload, PnR mode) compiles exactly once; compilations and
  * sweep points run concurrently (--jobs N / NUPEA_BENCH_JOBS) with
- * results identical for any job count.
+ * results identical for any job count. Exits 1 when any simulated
+ * point misses its host reference.
  *
  * With --pnr-chains K (K > 1) an extra section compares the
  * portfolio placer against the single-seed placer on the effcc
@@ -69,11 +70,8 @@ main(int argc, char **argv)
         const std::string &name = workloadNames()[i];
         double cycles[3];
         for (std::size_t m = 0; m < 3; ++m) {
-            const PointResult &p = sweep.points[3 * i + m];
-            if (!p.run.verified)
-                warn(name, " failed verification under ",
-                     placeModeName(kModes[m]));
-            cycles[m] = static_cast<double>(p.run.systemCycles);
+            cycles[m] = static_cast<double>(
+                sweep.points[3 * i + m].run.systemCycles);
         }
         double unaware = cycles[0], domain = cycles[1],
                effcc = cycles[2];
@@ -89,7 +87,7 @@ main(int argc, char **argv)
              {fmt(1.0), fmt(geomean(domain_s)), fmt(geomean(effcc_s))});
     std::printf("\npaper: Only-Domain-Aware ~1.16x, effcc ~1.25x over "
                 "Domain-Unaware\n");
-    printSweepFooter(sweep);
+    const std::size_t unverified = printSweepFooter(sweep);
 
     // Portfolio section: --pnr-chains K compiles the effcc basket
     // twice — single-seed and K-chain portfolio — and compares
@@ -153,5 +151,5 @@ main(int argc, char **argv)
                             .c_str());
         }
     }
-    return 0;
+    return unverified == 0 ? 0 : 1;
 }

@@ -53,7 +53,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -207,25 +206,19 @@ timedSweep(int jobs, const std::vector<RunSpec> &specs)
 int
 main(int argc, char **argv)
 {
-    std::string out_path;
-    std::string guard_path;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0)
-            out_path = argv[i + 1];
-        if (std::strcmp(argv[i], "--guard") == 0)
-            guard_path = argv[i + 1];
-    }
+    std::optional<std::string> out_arg, guard_arg;
+    SweepOptions opts = parseSweepArgs(
+        argc, argv, {{"--out", &out_arg}, {"--guard", &guard_arg}});
+    const std::string guard_path = guard_arg.value_or("");
     if (!guard_path.empty() &&
         std::getenv("NUPEA_PERF_GUARD_SKIP") != nullptr) {
         std::printf("perf_smoke: NUPEA_PERF_GUARD_SKIP set, "
                     "skipping guard comparison\n");
         return 77; // ctest SKIP_RETURN_CODE
     }
-    if (out_path.empty())
-        out_path =
-            guard_path.empty() ? "BENCH_perf.json" : "BENCH_perf.guard.json";
+    const std::string out_path = out_arg.value_or(
+        guard_path.empty() ? "BENCH_perf.json" : "BENCH_perf.guard.json");
 
-    SweepOptions opts = parseSweepArgs(argc, argv, {"--out", "--guard"});
     // The headline parallel measurement is pinned to 8 jobs (matching
     // the committed baseline) unless --jobs overrides it; the ladder
     // below fills in the rest of the scaling curve.

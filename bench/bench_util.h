@@ -68,9 +68,6 @@ struct CompileOptions
      * regardless of the CLI; > 1 runs that many chains.
      */
     int pnrChains = 0;
-    /** Moves per graph node between portfolio sync epochs; 0 uses
-     *  the placer's default. */
-    int pnrEpoch = 0;
     /** Pool the portfolio placer fans its chains out on; null runs
      *  chains serially. Borrowed; set by compileAll(). */
     TaskPool *pnrPool = nullptr;

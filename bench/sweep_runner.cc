@@ -38,22 +38,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 parseCountValue(const char *opt, const std::string &text)
 {
-    try {
-        int value = std::stoi(text);
-        if (value < 1)
-            fatal(opt, " must be >= 1, got ", text);
-        return value;
-    } catch (const FatalError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal(opt, " expects an integer, got '", text, "'");
-    }
-}
-
-int
-parseJobsValue(const std::string &text)
-{
-    return parseCountValue("--jobs", text);
+    return static_cast<int>(parseIntArg(opt, text, 1));
 }
 
 double
@@ -79,8 +64,7 @@ parsePruneValue(const std::string &text)
 
 void
 printUsage(std::FILE *to, const char *prog,
-           const std::vector<std::string> &extraValueOpts,
-           const std::vector<std::string> &extraFlags)
+           const std::vector<ValueOption> &extraOptions)
 {
     std::fprintf(to,
                  "usage: %s [options]\n"
@@ -98,8 +82,6 @@ printUsage(std::FILE *to, const char *prog,
                  "share --jobs workers and the chosen placement\n"
                  "                          is identical for any job "
                  "count)\n"
-                 "  --pnr-epoch N           moves per graph node between "
-                 "portfolio sync epochs (default: placer's)\n"
                  "  --stall-report          per-point stall-attribution "
                  "tables after the sweep\n"
                  "  --trace-out DIR         one Chrome trace_event JSON "
@@ -108,20 +90,40 @@ printUsage(std::FILE *to, const char *prog,
                  "compilation (default on)\n"
                  "  --help | -h             this message\n",
                  prog);
-    for (const std::string &opt : extraValueOpts)
-        std::fprintf(to, "  %s VALUE\n", opt.c_str());
-    for (const std::string &opt : extraFlags)
-        std::fprintf(to, "  %s\n", opt.c_str());
+    for (const ValueOption &opt : extraOptions)
+        std::fprintf(to, "  %s VALUE\n", opt.name.c_str());
 }
 
 } // namespace
+
+long long
+parseIntArg(const std::string &opt, const std::string &text,
+            long long min, long long max)
+{
+    long long value = 0;
+    try {
+        std::size_t used = 0;
+        value = std::stoll(text, &used);
+        if (used != text.size())
+            fatal(opt, " expects an integer, got '", text, "'");
+    } catch (const FatalError &) {
+        throw;
+    } catch (const std::exception &) {
+        fatal(opt, " expects an integer, got '", text, "'");
+    }
+    if (value < min)
+        fatal(opt, " must be >= ", min, ", got ", text);
+    if (value > max)
+        fatal(opt, " must be <= ", max, ", got ", text);
+    return value;
+}
 
 int
 defaultJobs()
 {
     if (const char *env = std::getenv("NUPEA_BENCH_JOBS")) {
         if (*env != '\0')
-            return parseJobsValue(env);
+            return parseCountValue("--jobs", env);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
@@ -129,25 +131,22 @@ defaultJobs()
 
 SweepOptions
 parseSweepArgs(int argc, char **argv,
-               const std::vector<std::string> &extraValueOpts,
-               const std::vector<std::string> &extraFlags)
+               const std::vector<ValueOption> &extraOptions)
 {
-    auto matchesExtraValue = [&](const std::string &arg, int &i) {
-        for (const std::string &opt : extraValueOpts) {
-            if (arg == opt) {
+    auto matchesExtra = [&](const std::string &arg, int &i) {
+        for (const ValueOption &opt : extraOptions) {
+            if (arg == opt.name) {
                 if (i + 1 >= argc)
                     fatal(arg, " expects a value");
-                ++i;
+                *opt.value = argv[++i];
                 return true;
             }
-            if (arg.rfind(opt + "=", 0) == 0)
+            if (arg.rfind(opt.name + "=", 0) == 0) {
+                *opt.value = arg.substr(opt.name.size() + 1);
                 return true;
+            }
         }
         return false;
-    };
-    auto matchesExtraFlag = [&](const std::string &arg) {
-        return std::find(extraFlags.begin(), extraFlags.end(), arg) !=
-               extraFlags.end();
     };
 
     SweepOptions opts;
@@ -156,11 +155,11 @@ parseSweepArgs(int argc, char **argv,
         if (arg == "--jobs" || arg == "-j") {
             if (i + 1 >= argc)
                 fatal(arg, " expects a value");
-            opts.jobs = parseJobsValue(argv[++i]);
+            opts.jobs = parseCountValue("--jobs", argv[++i]);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            opts.jobs = parseJobsValue(arg.substr(7));
+            opts.jobs = parseCountValue("--jobs", arg.substr(7));
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            opts.jobs = parseJobsValue(arg.substr(2));
+            opts.jobs = parseCountValue("--jobs", arg.substr(2));
         } else if (arg == "--prune") {
             if (i + 1 >= argc)
                 fatal(arg, " expects a fraction in (0, 1]");
@@ -174,13 +173,6 @@ parseSweepArgs(int argc, char **argv,
         } else if (arg.rfind("--pnr-chains=", 0) == 0) {
             opts.pnrChains =
                 parseCountValue("--pnr-chains", arg.substr(13));
-        } else if (arg == "--pnr-epoch") {
-            if (i + 1 >= argc)
-                fatal(arg, " expects a value");
-            opts.pnrEpoch = parseCountValue("--pnr-epoch", argv[++i]);
-        } else if (arg.rfind("--pnr-epoch=", 0) == 0) {
-            opts.pnrEpoch =
-                parseCountValue("--pnr-epoch", arg.substr(12));
         } else if (arg == "--stall-report") {
             opts.stallReport = true;
         } else if (arg == "--trace-out") {
@@ -194,12 +186,12 @@ parseSweepArgs(int argc, char **argv,
         } else if (arg == "--no-verify") {
             opts.verify = false;
         } else if (arg == "--help" || arg == "-h") {
-            printUsage(stdout, argv[0], extraValueOpts, extraFlags);
+            printUsage(stdout, argv[0], extraOptions);
             std::exit(0);
-        } else if (matchesExtraValue(arg, i) || matchesExtraFlag(arg)) {
-            // Bench-specific; handled by the caller.
+        } else if (matchesExtra(arg, i)) {
+            // Bench-specific; the value is now in the caller's slot.
         } else if (arg.size() > 1 && arg[0] == '-') {
-            printUsage(stderr, argv[0], extraValueOpts, extraFlags);
+            printUsage(stderr, argv[0], extraOptions);
             fatal("unrecognized argument '", arg, "'");
         }
     }
@@ -596,21 +588,17 @@ compileAll(SweepRunner &runner, const std::vector<CompileSpec> &specs)
     tasks.reserve(specs.size());
     bool verify = runner.options().verify;
     int pnr_chains = runner.options().pnrChains;
-    int pnr_epoch = runner.options().pnrEpoch;
     TaskPool *pool = &runner.pool();
     for (const CompileSpec &spec : specs) {
-        tasks.push_back([&spec, verify, pnr_chains, pnr_epoch, pool]() {
+        tasks.push_back([&spec, verify, pnr_chains, pool]() {
             CompileOptions options = spec.options;
             options.verify = options.verify && verify;
             // Specs that pin their own chain count (pnrChains != 0)
             // keep it; the sentinel 0 inherits the runner's CLI. The
             // placer fans its chains out on this very pool — nested
             // batches run inline on the compiling worker (TaskPool).
-            if (options.pnrChains == 0) {
+            if (options.pnrChains == 0)
                 options.pnrChains = pnr_chains;
-                if (options.pnrEpoch == 0)
-                    options.pnrEpoch = pnr_epoch;
-            }
             if (options.pnrChains > 1 && options.pnrPool == nullptr)
                 options.pnrPool = pool;
             return compileWorkload(spec.name, spec.topo, options);
@@ -619,7 +607,7 @@ compileAll(SweepRunner &runner, const std::vector<CompileSpec> &specs)
     return runner.map(std::move(tasks));
 }
 
-void
+std::size_t
 printSweepFooter(const SweepResult &sweep)
 {
     double serial = sweep.pointSeconds();
@@ -634,6 +622,17 @@ printSweepFooter(const SweepResult &sweep)
         std::printf("[sweep] %zu of those points were pruned: their "
                     "numbers are static-model predictions\n",
                     sweep.prunedPoints);
+    std::string missed;
+    std::size_t unverified = 0;
+    for (const PointResult &p : sweep.points) {
+        if (p.pruned || p.run.verified)
+            continue;
+        missed += (unverified++ ? ", " : ": ") + p.label;
+    }
+    std::printf("[sweep] %zu simulated point%s missed the host "
+                "reference%s\n",
+                unverified, unverified == 1 ? "" : "s", missed.c_str());
+    return unverified;
 }
 
 } // namespace bench

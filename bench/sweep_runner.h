@@ -38,6 +38,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,9 +82,6 @@ struct SweepOptions
      *  dominated-chain early kill (compiler/placement.h). Applied by
      *  compileAll() to specs that don't pin their own chain count. */
     int pnrChains = 1;
-    /** Moves per graph node between portfolio sync epochs
-     *  (`--pnr-epoch`); 0 uses the placer's default. */
-    int pnrEpoch = 0;
 
     /** Any observability feature requested? */
     bool
@@ -96,23 +95,35 @@ struct SweepOptions
 int defaultJobs();
 
 /**
+ * `text` as a whole decimal integer in [min, max]; otherwise fatal()
+ * naming `opt`. The check behind --jobs and --pnr-chains, exported
+ * for benches with integer options of their own.
+ */
+long long parseIntArg(const std::string &opt, const std::string &text,
+                      long long min,
+                      long long max = std::numeric_limits<int>::max());
+
+/** A bench-specific option taking one value, `--opt VALUE` or
+ *  `--opt=VALUE`: parseSweepArgs stores the last occurrence's value
+ *  in `*value` and leaves it empty when the option is absent. */
+struct ValueOption
+{
+    std::string name;
+    std::optional<std::string> *value;
+};
+
+/**
  * Parse --jobs N / --jobs=N / -j N / -jN, --prune FRAC /
  * --prune=FRAC (a fraction in (0, 1]; <= 0 or > 1 is fatal),
- * --pnr-chains N / --pnr-chains=N and --pnr-epoch N /
- * --pnr-epoch=N (both reject values < 1), --stall-report,
- * --trace-out DIR / --trace-out=DIR, and --verify / --no-verify.
- * --help / -h prints the usage message and exits 0. Any other
- * `-`/`--` argument is fatal() with the usage message — a typo like
- * `--job 8` must not silently run serial. Benches with their own
- * flags list them in `extraValueOpts` (options that consume one
- * value, accepted as `--opt VALUE` or `--opt=VALUE`) and
- * `extraFlags` (bare switches); both are skipped here and shown in
- * the usage text.
+ * --pnr-chains N / --pnr-chains=N (< 1 is fatal), --stall-report,
+ * --trace-out DIR / --trace-out=DIR, --verify / --no-verify, and the
+ * bench's own `extraOptions`. --help / -h prints the usage message
+ * and exits 0. Any other `-`/`--` argument is fatal() with the usage
+ * message — a typo like `--job 8` must not silently run serial.
  */
 SweepOptions
 parseSweepArgs(int argc, char **argv,
-               const std::vector<std::string> &extraValueOpts = {},
-               const std::vector<std::string> &extraFlags = {});
+               const std::vector<ValueOption> &extraOptions = {});
 
 /**
  * Sweep options wrapped around one work-stealing TaskPool (see
@@ -258,8 +269,13 @@ struct CompileSpec
 std::vector<CompiledWorkload>
 compileAll(SweepRunner &runner, const std::vector<CompileSpec> &specs);
 
-/** Print the standard "[sweep] N points ... " harness footer. */
-void printSweepFooter(const SweepResult &sweep);
+/**
+ * Print the standard "[sweep] N points ... " harness footer, with the
+ * count and labels of simulated points that missed their host
+ * reference (pruned points carry no verdict and are not counted).
+ * Returns that count; a bench exits 1 when it is non-zero.
+ */
+std::size_t printSweepFooter(const SweepResult &sweep);
 
 } // namespace bench
 } // namespace nupea

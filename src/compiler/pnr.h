@@ -62,9 +62,10 @@ struct AutoParResult
 };
 
 /**
- * Double the parallelism degree until PnR fails and return the last
- * successful compilation (paper Sec. 5). fatal() if even degree 1
- * fails.
+ * Raise the parallelism degree until PnR fails and return the last
+ * successful compilation (paper Sec. 5): +1 per step from 1 to 8,
+ * then +4 (12, 16, ...) up to `max_parallelism`. fatal() if even
+ * degree 1 fails.
  */
 AutoParResult compileWithAutoParallelism(
     const GraphFactory &factory, const Topology &topo,

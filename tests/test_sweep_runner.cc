@@ -5,7 +5,8 @@
  * jobs=1-vs-N result equality under chunking, first-submitted
  * exception ordering, fail-fast skip accounting, steal-heavy
  * imbalance, a many-tiny-task stress case, the strict CLI parser,
- * and runSweep's reused per-worker stores against fresh-store runs.
+ * the sweep footer's unverified-point count, and runSweep's reused
+ * per-worker stores against fresh-store runs.
  * Labeled `tsan` so the tsan preset races the scheduler.
  */
 
@@ -16,6 +17,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "bench/sweep_runner.h"
@@ -396,22 +399,23 @@ TEST(SweepRunnerTest, PnrChainsResolution)
 
 TEST(SweepRunnerTest, PnrEpochResolution)
 {
+    // The portfolio epoch length is the placer's fixed default (tests
+    // set PortfolioOptions::epochMovesPerNode directly); every
+    // spelling of `--pnr-epoch` is an unknown argument.
     const char *argv1[] = {"bench", "--pnr-epoch", "10"};
-    EXPECT_EQ(parseSweepArgs(3, const_cast<char **>(argv1)).pnrEpoch,
-              10);
     const char *argv2[] = {"bench", "--pnr-epoch=5"};
-    EXPECT_EQ(parseSweepArgs(2, const_cast<char **>(argv2)).pnrEpoch,
-              5);
-    // Default 0: defer to the placer's built-in epoch length.
-    const char *argv3[] = {"bench"};
-    EXPECT_EQ(parseSweepArgs(1, const_cast<char **>(argv3)).pnrEpoch,
-              0);
-    const char *argv4[] = {"bench", "--pnr-epoch", "0"};
-    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv4)),
-                 FatalError);
-    const char *argv5[] = {"bench", "--pnr-epoch=x"};
-    EXPECT_THROW(parseSweepArgs(2, const_cast<char **>(argv5)),
-                 FatalError);
+    const std::pair<int, const char **> cases[] = {{3, argv1},
+                                                   {2, argv2}};
+    for (const auto &[argc, argv] : cases) {
+        try {
+            parseSweepArgs(argc, const_cast<char **>(argv));
+            ADD_FAILURE() << "accepted " << argv[1];
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unrecognized argument"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TaskPoolTest, NestedRunAllRunsInlineKeepingWorkerId)
@@ -462,21 +466,112 @@ TEST(SweepRunnerTest, UnknownArgumentsAreFatal)
 
 TEST(SweepRunnerTest, ExtraOptionsAreAccepted)
 {
-    // Bench-specific options pass through (both spellings), and
-    // their values are not mistaken for unknown arguments.
+    // Bench-specific options come back with their values in both
+    // spellings, and their values are not mistaken for unknown
+    // arguments.
+    std::optional<std::string> out, guard;
+    const std::vector<ValueOption> declared = {{"--out", &out},
+                                               {"--guard", &guard}};
     const char *argv1[] = {"bench", "--out",  "x.json", "--jobs", "3",
                            "--guard", "y.json"};
-    SweepOptions opts = parseSweepArgs(7, const_cast<char **>(argv1),
-                                       {"--out", "--guard"});
+    SweepOptions opts =
+        parseSweepArgs(7, const_cast<char **>(argv1), declared);
     EXPECT_EQ(opts.jobs, 3);
-    const char *argv2[] = {"bench", "--out=x.json", "--fast"};
-    opts = parseSweepArgs(3, const_cast<char **>(argv2), {"--out"},
-                          {"--fast"});
+    EXPECT_EQ(out, "x.json");
+    EXPECT_EQ(guard, "y.json");
+
+    out.reset();
+    guard.reset();
+    const char *argv2[] = {"bench", "--guard=g.json", "--out=x.json"};
+    opts = parseSweepArgs(3, const_cast<char **>(argv2), declared);
     EXPECT_EQ(opts.jobs, 0);
-    // ...but only when declared.
-    const char *argv3[] = {"bench", "--out", "x.json"};
-    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv3)),
+    EXPECT_EQ(out, "x.json");
+    EXPECT_EQ(guard, "g.json");
+
+    // The last occurrence wins, whatever its spelling; an absent
+    // option stays empty.
+    out.reset();
+    guard.reset();
+    const char *argv3[] = {"bench", "--out", "a.json", "--out=b.json"};
+    parseSweepArgs(4, const_cast<char **>(argv3), declared);
+    EXPECT_EQ(out, "b.json");
+    EXPECT_FALSE(guard.has_value());
+    const char *argv4[] = {"bench", "--out=a.json", "--out", "c.json"};
+    parseSweepArgs(4, const_cast<char **>(argv4), declared);
+    EXPECT_EQ(out, "c.json");
+
+    // A declared option without its value is fatal...
+    const char *argv5[] = {"bench", "--out"};
+    EXPECT_THROW(parseSweepArgs(2, const_cast<char **>(argv5), declared),
                  FatalError);
+    // ...and so is any undeclared one.
+    const char *argv6[] = {"bench", "--out", "x.json"};
+    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv6)),
+                 FatalError);
+}
+
+TEST(SweepRunnerTest, GenSweepSeedArgumentsAreValidated)
+{
+    // bench_gen_sweep reads `--seeds` (random shape count, >= 1) and
+    // `--seed` (base seed, >= 0) through parseIntArg with these
+    // bounds; a negative or non-integer count must not run an empty,
+    // vacuously passing sweep or fall back to the curated registry.
+    const long long kSeedMax = std::numeric_limits<long long>::max();
+    EXPECT_EQ(parseIntArg("--seeds", "12", 1), 12);
+    EXPECT_EQ(parseIntArg("--seed", "0", 0, kSeedMax), 0);
+    EXPECT_EQ(parseIntArg("--seed", "9000000000", 0, kSeedMax),
+              9000000000LL);
+    for (const char *bad : {"-3", "0", "abc", "", "3x", "1.5"})
+        EXPECT_THROW(parseIntArg("--seeds", bad, 1), FatalError) << bad;
+    for (const char *bad : {"-1", "seven", "1e3"})
+        EXPECT_THROW(parseIntArg("--seed", bad, 0, kSeedMax), FatalError)
+            << bad;
+    // The default bound is int's range, which --jobs and --seeds use.
+    EXPECT_THROW(parseIntArg("--seeds", "9000000000", 1), FatalError);
+    try {
+        parseIntArg("--seeds", "-3", 1);
+        ADD_FAILURE() << "accepted --seeds -3";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("--seeds must be >= 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SweepRunnerTest, FooterCountsUnverifiedSimulatedPoints)
+{
+    // Simulated points that missed their host reference are counted
+    // and named; pruned points carry no verdict and are not.
+    SweepResult sweep;
+    auto add = [&](const char *label, bool verified, bool pruned) {
+        PointResult p;
+        p.label = label;
+        p.run.verified = verified;
+        p.pruned = pruned;
+        sweep.points.push_back(p);
+        sweep.prunedPoints += pruned ? 1 : 0;
+    };
+    add("a/monaco", true, false);
+    add("b/monaco", true, false);
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(printSweepFooter(sweep), 0u);
+    std::string clean = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(clean.find("[sweep] 0 simulated points missed the host "
+                         "reference\n"),
+              std::string::npos)
+        << clean;
+
+    add("c/upea2", false, false);
+    add("d/upea2", false, true);
+    add("e/numa-upea2", false, false);
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(printSweepFooter(sweep), 2u);
+    std::string failed = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(failed.find("[sweep] 2 simulated points missed the host "
+                          "reference: c/upea2, e/numa-upea2\n"),
+              std::string::npos)
+        << failed;
+    EXPECT_EQ(failed.find("d/upea2"), std::string::npos) << failed;
 }
 
 } // namespace
