@@ -24,15 +24,21 @@
  * the guard's quality gate — portfolio never worse than single-seed
  * on the basket — is deterministic on any host.
  *
+ * The router is timed the same way: a min-of-3 pass of one routeGraph
+ * per basket workload on its compiled placement
+ * ("router_points_per_sec"). The pass's summed negotiation rounds
+ * ("router_iterations") are a work count that a speed-only change
+ * must leave unchanged.
+ *
  * With --guard, the run is checked against the committed BASELINE
  * json; the first failing gate exits 1. In order:
  *  - total firings_per_sec more than 25% below the baseline's fails
  *    (a baseline without the key fails too);
- *  - analyzer_points_per_sec and placer_points_per_sec must each
- *    stay within 1.5x of the baseline's (min-of-3 walls on both sides
- *    damp preemption noise). Baselines recorded before a row existed
- *    lack its key; that gate prints a note and skips rather than
- *    failing;
+ *  - analyzer_points_per_sec, placer_points_per_sec and
+ *    router_points_per_sec must each stay within 1.5x of the
+ *    baseline's (min-of-3 walls on both sides damp preemption
+ *    noise). Baselines recorded before a row existed lack its key;
+ *    that gate prints a note and skips rather than failing;
  *  - the 4-chain portfolio's basket placement cost must not exceed
  *    the single seed's;
  *  - no point whose serial wall is >= 1ms may take more than 3x its
@@ -339,6 +345,30 @@ main(int argc, char **argv)
         placer_portfolio_cost += stats.winnerCost;
     }
 
+    // Router throughput: one route per basket workload on the
+    // placement it compiled with, min-of-3 walls.
+    double router_seconds = 0.0;
+    int router_iterations = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+        auto router_start = std::chrono::steady_clock::now();
+        int iterations = 0;
+        for (const CompiledWorkload &cw : compiled) {
+            iterations +=
+                routeGraph(cw.graph, cw.topo, cw.pnr.placement).iterations;
+        }
+        double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() -
+                          router_start)
+                          .count();
+        router_seconds =
+            rep == 0 ? wall : std::min(router_seconds, wall);
+        router_iterations = iterations;
+    }
+    const double router_points_per_sec =
+        router_seconds > 0.0
+            ? static_cast<double>(compiled.size()) / router_seconds
+            : 0.0;
+
     SweepRunner serial_runner(SweepOptions{1});
 
     // Untimed warmup: faults the shared images and per-arena pages,
@@ -515,6 +545,12 @@ main(int argc, char **argv)
         placer_single_cost, placer_portfolio_cost, kPortfolioChains);
     std::fprintf(
         f,
+        "  \"router\": {\"workloads\": %zu, \"wall_seconds\": %.6f, "
+        "\"router_points_per_sec\": %.1f, \"router_iterations\": %d},\n",
+        compiled.size(), router_seconds, router_points_per_sec,
+        router_iterations);
+    std::fprintf(
+        f,
         "  \"total\": {\"serial_wall_seconds\": %.6f, "
         "\"attr_serial_wall_seconds\": %.6f, "
         "\"fabric_cycles_per_sec\": %.1f, \"firings_per_sec\": %.1f}\n",
@@ -541,6 +577,10 @@ main(int argc, char **argv)
                 compiled.size(), placer_seconds, placer_points_per_sec,
                 placer_single_cost, kPortfolioChains,
                 placer_portfolio_cost);
+    std::printf("router: %zu routes in %.4fs (%.1f points/s), %d "
+                "iterations\n",
+                compiled.size(), router_seconds, router_points_per_sec,
+                router_iterations);
     std::printf("wrote %s\n", out_path.c_str());
     if (!identical)
         return 1;
@@ -552,10 +592,10 @@ main(int argc, char **argv)
             return 1;
         }
         // Throughput gates. The analyzer must stay fast enough that
-        // pruning a sweep is always cheaper than simulating it; its
-        // and the placer's rows are min-of-3 walls on both sides, so
-        // 1.5x slack covers host noise without hiding a real
-        // slowdown.
+        // pruning a sweep is always cheaper than simulating it. The
+        // analyzer, placer and router rows are min-of-3 walls on both
+        // sides, so 1.5x slack covers host noise without hiding a
+        // real slowdown.
         const ThroughputGate gates[] = {
             {"firings_per_sec", nullptr, "firings/s", "sweep", 1.25,
              total_firings_per_sec},
@@ -563,6 +603,8 @@ main(int argc, char **argv)
              "static analyzer", 1.5, analyzer_points_per_sec},
             {"placer_points_per_sec", "placer", "points/s",
              "annealing placer", 1.5, placer_points_per_sec},
+            {"router_points_per_sec", "router", "points/s", "router",
+             1.5, router_points_per_sec},
         };
         for (const ThroughputGate &gate : gates) {
             if (!passesGate(gate, baseline_text, guard_path))

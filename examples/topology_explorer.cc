@@ -9,25 +9,46 @@
  *   topology_explorer [workload] [kind] [size] [tracks]
  *     workload: dmv|jacobi2d|...|vww        (default spmspv)
  *     kind:     monaco|cs|cd                (default monaco)
- *     size:     fabric rows=cols            (default 12)
- *     tracks:   data-NoC tracks per edge    (default 3)
+ *     size:     fabric rows=cols, >= 4      (default 12)
+ *     tracks:   data-NoC tracks per edge, >= 1 (default 3)
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "api/nupea.h"
 
 using namespace nupea;
 
+namespace
+{
+
+/** Parse all of `text` as a decimal integer of at least `min`. */
+bool
+parseWhole(const char *text, int min, int *out)
+{
+    const char *end = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, end, *out);
+    return ec == std::errc() && ptr == end && *out >= min;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "spmspv";
     std::string kind_str = argc > 2 ? argv[2] : "monaco";
-    int size = argc > 3 ? std::atoi(argv[3]) : 12;
-    int tracks = argc > 4 ? std::atoi(argv[4]) : 3;
+    // 4 is the smallest fabric all three kinds accept.
+    int size = 12;
+    int tracks = 3;
+    if ((argc > 3 && !parseWhole(argv[3], 4, &size)) ||
+        (argc > 4 && !parseWhole(argv[4], 1, &tracks))) {
+        std::fprintf(stderr, "usage: topology_explorer [workload] "
+                             "[monaco|cs|cd] [size >= 4] [tracks >= 1]\n");
+        return 1;
+    }
 
     TopologyKind kind = TopologyKind::Monaco;
     if (kind_str == "cs")

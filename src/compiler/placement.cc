@@ -73,16 +73,99 @@ mixChainSeed(std::uint64_t base, std::uint64_t chain)
     return z ^ (z >> 31);
 }
 
+/**
+ * Read-only lookups for one placeGraph call, shared by its chains.
+ * The annealer's cost and legality checks read these instead of the
+ * graph's node records and the topology's per-tile queries.
+ */
+struct PlacerTables
+{
+    /** @{ Per node. */
+    std::vector<FuClass> fu;
+    std::vector<std::uint8_t> isMemory;
+    /** memWeight * critWeight(mode, crit). */
+    std::vector<double> memWeight;
+    /** Neighbours of node `id` are nbr[nbrBegin[id], nbrBegin[id + 1]):
+     *  its connected inputs' producers up to inEnd[id], in input
+     *  order, then its fanout consumers in fanout order. */
+    std::vector<std::uint32_t> nbrBegin;
+    std::vector<std::uint32_t> inEnd;
+    std::vector<NodeId> nbr;
+    /** @} */
+
+    /** @{ Per tile (row-major index). */
+    std::vector<FuSlots> slots;
+    /** arbHops + columnPreference * col: a memory node's distance
+     *  cost before its weight. */
+    std::vector<double> tileMemCost;
+    /** @} */
+
+    PlacerTables(const Graph &graph, const Topology &topo,
+                 const PlacerOptions &options)
+    {
+        const std::vector<std::vector<PortRef>> &fanout = graph.fanout();
+        nbrBegin.push_back(0);
+        for (NodeId id = 0; id < graph.numNodes(); ++id) {
+            const Node &n = graph.node(id);
+            const OpTraits &traits = opTraits(n.op);
+            fu.push_back(traits.fu);
+            isMemory.push_back(traits.isMemory);
+            memWeight.push_back(options.memWeight *
+                                critWeight(options.mode, n.crit));
+            for (const InputConn &in : n.inputs) {
+                if (!in.isImm && in.src != kInvalidId)
+                    nbr.push_back(in.src);
+            }
+            inEnd.push_back(static_cast<std::uint32_t>(nbr.size()));
+            for (const PortRef &dst : fanout[id])
+                nbr.push_back(dst.node);
+            nbrBegin.push_back(static_cast<std::uint32_t>(nbr.size()));
+        }
+        for (int t = 0; t < topo.numTiles(); ++t) {
+            Coord c = topo.tileCoord(t);
+            slots.push_back(topo.slots(c));
+            tileMemCost.push_back(topo.arbHops(c) +
+                                  options.columnPreference * c.col);
+        }
+    }
+};
+
+/** One tile's occupants of one FU class, in insertion order. */
+struct SlotList
+{
+    std::array<NodeId, FuSlots::kMaxPerClass> ids{};
+    std::uint8_t size = 0;
+
+    void
+    push(NodeId id)
+    {
+        NUPEA_ASSERT(size < ids.size(), "slot list overflow");
+        ids[size++] = id;
+    }
+
+    /** Remove `id`, keeping the others in order. */
+    void
+    erase(NodeId id)
+    {
+        std::uint8_t i = 0;
+        while (i < size && ids[i] != id)
+            ++i;
+        NUPEA_ASSERT(i < size);
+        for (--size; i < size; ++i)
+            ids[i] = ids[i + 1];
+    }
+};
+
 /** One annealing chain: working state for initial placement and a
  *  resumable, epoch-sliced anneal with incremental cost tracking. */
 class PlacerState
 {
   public:
     PlacerState(const Graph &graph, const Topology &topo,
-                const PlacerOptions &options, std::uint64_t seed,
-                double t_begin, double p_local)
-        : graph_(graph), topo_(topo), options_(options), rng_(seed),
-          tBegin_(t_begin), pLocal_(p_local),
+                const PlacerOptions &options, const PlacerTables &tables,
+                std::uint64_t seed, double t_begin, double p_local)
+        : graph_(graph), topo_(topo), options_(options), tables_(tables),
+          rng_(seed), tBegin_(t_begin), pLocal_(p_local),
           schedTotal_(static_cast<std::uint64_t>(
                           options.iterationsPerNode) *
                       graph.numNodes()),
@@ -111,71 +194,49 @@ class PlacerState
         return tempAt(moveIndex_);
     }
 
-    /** Memory-distance cost of putting a memory node on `tile`. */
-    double
-    tileMemCost(Coord tile) const
-    {
-        return topo_.arbHops(tile) +
-               options_.columnPreference * tile.col;
-    }
-
     double
     nodeMemCost(NodeId id, Coord tile) const
     {
-        const Node &n = graph_.node(id);
-        if (!opTraits(n.op).isMemory)
+        if (!tables_.isMemory[id])
             return 0.0;
-        return options_.memWeight * critWeight(options_.mode, n.crit) *
-               tileMemCost(tile);
+        return tables_.memWeight[id] * tables_.tileMemCost[tileOf(tile)];
     }
 
     /** Wirelength of all edges incident to `id` given positions. */
     double
     incidentWirelen(NodeId id) const
     {
-        double total = 0.0;
-        const Node &n = graph_.node(id);
-        for (const InputConn &in : n.inputs) {
-            if (!in.isImm && in.src != kInvalidId)
-                total += pos_[in.src].manhattan(pos_[id]);
-        }
-        for (const PortRef &dst : graph_.fanout()[id])
-            total += pos_[id].manhattan(pos_[dst.node]);
+        // Integer sums convert exactly, so this equals summing the
+        // distances as doubles.
+        int total = 0;
+        for (std::uint32_t i = tables_.nbrBegin[id];
+             i < tables_.nbrBegin[id + 1]; ++i)
+            total += pos_[tables_.nbr[i]].manhattan(pos_[id]);
         return total * options_.wirelenWeight;
     }
 
     bool
     hasFreeSlot(Coord tile, FuClass fu) const
     {
-        const auto &occ =
-            occupants_[static_cast<std::size_t>(topo_.tileIndex(tile))];
-        return occ[static_cast<std::size_t>(fuIndex(fu))].size() <
-               topo_.slots(tile).forClass(fu);
+        std::size_t t = tileOf(tile);
+        return occupants_[t][static_cast<std::size_t>(fuIndex(fu))].size <
+               tables_.slots[t].forClass(fu);
     }
 
     void
     put(NodeId id, Coord tile)
     {
-        FuClass fu = opTraits(graph_.node(id).op).fu;
+        FuClass fu = tables_.fu[id];
         NUPEA_ASSERT(hasFreeSlot(tile, fu), "no free ",
                      static_cast<int>(fu), " slot at ", tile.str());
-        occupants_[static_cast<std::size_t>(topo_.tileIndex(tile))]
-                  [static_cast<std::size_t>(fuIndex(fu))]
-                      .push_back(id);
+        slotList(tile, fu).push(id);
         pos_[id] = tile;
     }
 
     void
     remove(NodeId id)
     {
-        Coord tile = pos_[id];
-        FuClass fu = opTraits(graph_.node(id).op).fu;
-        auto &list =
-            occupants_[static_cast<std::size_t>(topo_.tileIndex(tile))]
-                      [static_cast<std::size_t>(fuIndex(fu))];
-        auto it = std::find(list.begin(), list.end(), id);
-        NUPEA_ASSERT(it != list.end());
-        list.erase(it);
+        slotList(pos_[id], tables_.fu[id]).erase(id);
         pos_[id] = Coord{-1, -1};
     }
 
@@ -229,6 +290,19 @@ class PlacerState
     Rng &rng() { return rng_; }
 
   private:
+    std::size_t
+    tileOf(Coord tile) const
+    {
+        return static_cast<std::size_t>(topo_.tileIndex(tile));
+    }
+
+    SlotList &
+    slotList(Coord tile, FuClass fu)
+    {
+        return occupants_[tileOf(tile)]
+                         [static_cast<std::size_t>(fuIndex(fu))];
+    }
+
     double
     tempAt(std::uint64_t i) const
     {
@@ -247,14 +321,12 @@ class PlacerState
     {
         double cost = 0.0;
         for (NodeId id = 0; id < graph_.numNodes(); ++id) {
-            const Node &n = graph_.node(id);
-            for (const InputConn &in : n.inputs) {
-                if (!in.isImm && in.src != kInvalidId) {
-                    cost += options_.wirelenWeight *
-                            pos_[in.src].manhattan(pos_[id]);
-                }
+            for (std::uint32_t i = tables_.nbrBegin[id];
+                 i < tables_.inEnd[id]; ++i) {
+                cost += options_.wirelenWeight *
+                        pos_[tables_.nbr[i]].manhattan(pos_[id]);
             }
-            if (opTraits(n.op).isMemory)
+            if (tables_.isMemory[id])
                 cost += nodeMemCost(id, pos_[id]);
         }
         return cost;
@@ -263,12 +335,23 @@ class PlacerState
     NodeId
     randomOccupant(Coord tile, FuClass fu)
     {
-        auto &list =
-            occupants_[static_cast<std::size_t>(topo_.tileIndex(tile))]
-                      [static_cast<std::size_t>(fuIndex(fu))];
-        if (list.empty())
+        const SlotList &list = slotList(tile, fu);
+        if (list.size == 0)
             return kInvalidId;
-        return list[rng_.below(list.size())];
+        return list.ids[rng_.below(list.size)];
+    }
+
+    /** Subtract the wirelength of each edge from `src` into `dst`. */
+    void
+    subtractEdges(double &cost, NodeId src, NodeId dst) const
+    {
+        for (std::uint32_t i = tables_.nbrBegin[dst]; i < tables_.inEnd[dst];
+             ++i) {
+            if (tables_.nbr[i] == src) {
+                cost -= options_.wirelenWeight *
+                        pos_[src].manhattan(pos_[dst]);
+            }
+        }
     }
 
     /** Cost touched by moving `a` (and optionally `b`). */
@@ -280,20 +363,8 @@ class PlacerState
             cost += incidentWirelen(b) + nodeMemCost(b, pos_[b]);
             // Edges between a and b are counted from both sides;
             // subtract the duplicate so deltas stay consistent.
-            const Node &nb = graph_.node(b);
-            for (const InputConn &in : nb.inputs) {
-                if (!in.isImm && in.src == a) {
-                    cost -= options_.wirelenWeight *
-                            pos_[a].manhattan(pos_[b]);
-                }
-            }
-            const Node &na = graph_.node(a);
-            for (const InputConn &in : na.inputs) {
-                if (!in.isImm && in.src == b) {
-                    cost -= options_.wirelenWeight *
-                            pos_[a].manhattan(pos_[b]);
-                }
-            }
+            subtractEdges(cost, a, b);
+            subtractEdges(cost, b, a);
         }
         return cost;
     }
@@ -301,6 +372,7 @@ class PlacerState
     const Graph &graph_;
     const Topology &topo_;
     const PlacerOptions &options_;
+    const PlacerTables &tables_;
     Rng rng_;
     double tBegin_;             ///< chain's schedule start temperature
     double pLocal_;             ///< short-range move probability
@@ -310,7 +382,7 @@ class PlacerState
     double cost_ = 0.0; ///< incremental objective (see initCost)
     std::vector<Coord> pos_;
     /** occupants_[tile][fuClass] = node list. */
-    std::vector<std::array<std::vector<NodeId>, kNumFuClasses>> occupants_;
+    std::vector<std::array<SlotList, kNumFuClasses>> occupants_;
 };
 
 void
@@ -320,7 +392,7 @@ PlacerState::initialPlace()
     //    (paper Sec. 5: "LS are placed first, favoring domains").
     std::vector<NodeId> mem_nodes;
     for (NodeId id = 0; id < graph_.numNodes(); ++id) {
-        if (opTraits(graph_.node(id).op).fu == FuClass::Mem)
+        if (tables_.fu[id] == FuClass::Mem)
             mem_nodes.push_back(id);
     }
 
@@ -360,17 +432,12 @@ PlacerState::initialPlace()
     }
     for (std::size_t head = 0; head < order.size(); ++head) {
         NodeId id = order[head];
-        const Node &n = graph_.node(id);
-        for (const InputConn &in : n.inputs) {
-            if (!in.isImm && in.src != kInvalidId && !seen[in.src]) {
-                seen[in.src] = 1;
-                order.push_back(in.src);
-            }
-        }
-        for (const PortRef &dst : graph_.fanout()[id]) {
-            if (!seen[dst.node]) {
-                seen[dst.node] = 1;
-                order.push_back(dst.node);
+        for (std::uint32_t i = tables_.nbrBegin[id];
+             i < tables_.nbrBegin[id + 1]; ++i) {
+            NodeId nb = tables_.nbr[i];
+            if (!seen[nb]) {
+                seen[nb] = 1;
+                order.push_back(nb);
             }
         }
     }
@@ -383,21 +450,14 @@ PlacerState::initialPlace()
     for (NodeId id : order) {
         if (pos_[id].row >= 0)
             continue; // memory ops already placed
-        const Node &n = graph_.node(id);
         // Centroid of placed neighbors.
         int sum_r = 0, sum_c = 0, count = 0;
-        for (const InputConn &in : n.inputs) {
-            if (!in.isImm && in.src != kInvalidId &&
-                pos_[in.src].row >= 0) {
-                sum_r += pos_[in.src].row;
-                sum_c += pos_[in.src].col;
-                ++count;
-            }
-        }
-        for (const PortRef &dst : graph_.fanout()[id]) {
-            if (pos_[dst.node].row >= 0) {
-                sum_r += pos_[dst.node].row;
-                sum_c += pos_[dst.node].col;
+        for (std::uint32_t i = tables_.nbrBegin[id];
+             i < tables_.nbrBegin[id + 1]; ++i) {
+            Coord nb = pos_[tables_.nbr[i]];
+            if (nb.row >= 0) {
+                sum_r += nb.row;
+                sum_c += nb.col;
                 ++count;
             }
         }
@@ -411,7 +471,7 @@ PlacerState::initialPlace()
                 static_cast<std::int32_t>(rng_.below(
                     static_cast<std::uint64_t>(topo_.cols())))};
         }
-        put(id, nearestFree(target, opTraits(n.op).fu));
+        put(id, nearestFree(target, tables_.fu[id]));
     }
 }
 
@@ -424,10 +484,8 @@ PlacerState::annealMoves(std::uint64_t count)
 
     const std::uint64_t end = moveIndex_ + count;
     for (; moveIndex_ < end; ++moveIndex_) {
-        double temp = tempAt(moveIndex_);
-
         NodeId a = static_cast<NodeId>(rng_.below(n));
-        FuClass fu = opTraits(graph_.node(a).op).fu;
+        FuClass fu = tables_.fu[a];
         Coord from = pos_[a];
         Coord to;
         // Diversified chains mix in short-range moves. The gate
@@ -449,7 +507,7 @@ PlacerState::annealMoves(std::uint64_t count)
         }
         if (to == from)
             continue;
-        if (topo_.slots(to).forClass(fu) == 0)
+        if (tables_.slots[tileOf(to)].forClass(fu) == 0)
             continue;
 
         NodeId b = kInvalidId;
@@ -470,7 +528,9 @@ PlacerState::annealMoves(std::uint64_t count)
         double after = localCost(a, b);
 
         double delta = after - before;
-        if (delta > 0 && rng_.uniform() >= std::exp(-delta / temp)) {
+        // The temperature (a std::pow) matters only uphill.
+        if (delta > 0 &&
+            rng_.uniform() >= std::exp(-delta / tempAt(moveIndex_))) {
             // Revert.
             remove(a);
             if (b != kInvalidId)
@@ -598,6 +658,7 @@ placeGraph(const Graph &graph, const Topology &topo,
         }
     }
 
+    const PlacerTables tables(graph, topo, options);
     const PortfolioOptions &pf = options.portfolio;
     const int chains = std::max(1, pf.chains);
     const std::size_t n = graph.numNodes();
@@ -608,8 +669,8 @@ placeGraph(const Graph &graph, const Topology &topo,
         // The historical single-seed placer: one unperturbed chain,
         // final state returned (not the best snapshot), bit-for-bit
         // identical RNG stream.
-        PlacerState state(graph, topo, options, options.seed, kTBegin,
-                          /*p_local=*/0.0);
+        PlacerState state(graph, topo, options, tables, options.seed,
+                          kTBegin, /*p_local=*/0.0);
         state.initialPlace();
         state.initCost();
         state.annealMoves(schedule);
@@ -673,8 +734,8 @@ placeGraph(const Graph &graph, const Topology &topo,
         }
         run.seed = seed;
         run.scheduled = schedule;
-        run.state = std::make_unique<PlacerState>(graph, topo, options,
-                                                  seed, t_begin, p_local);
+        run.state = std::make_unique<PlacerState>(
+            graph, topo, options, tables, seed, t_begin, p_local);
     }
 
     // Epoch 0: initial placements + cost seeding, fanned out.

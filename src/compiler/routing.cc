@@ -1,9 +1,8 @@
 #include "compiler/routing.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
-#include <queue>
+#include <cstdlib>
+#include <functional>
 
 #include "common/log.h"
 
@@ -13,50 +12,47 @@ namespace nupea
 namespace
 {
 
-/** One directed link in the routing-resource graph. */
-struct Link
-{
-    int from = 0;
-    int to = 0;
-    double delay = 1.0;
-    int capacity = 0;
-};
-
-/** The routing-resource graph for one fabric. */
+/**
+ * The routing-resource graph for one fabric, one array per link
+ * field. Each tile's out-links are created consecutively, so tile t
+ * owns link ids [outBegin[t], outBegin[t + 1]).
+ */
 struct RRGraph
 {
-    std::vector<Link> links;
-    /** Outgoing link ids per tile. */
-    std::vector<std::vector<int>> out;
+    std::vector<int> from;
+    std::vector<int> to;
+    std::vector<double> delay;
+    std::vector<int> capacity;
+    std::vector<int> outBegin;
+    /** Tile coordinates, for the A* heuristic. */
+    std::vector<int> row;
+    std::vector<int> col;
 
     explicit RRGraph(const Topology &topo)
     {
         const int rows = topo.rows();
         const int cols = topo.cols();
         const int tracks = topo.dataTracks();
-        out.resize(static_cast<std::size_t>(rows * cols));
 
-        auto add = [&](Coord a, Coord b, double delay, int cap) {
+        auto add = [&](Coord a, Coord b, double d, int cap) {
             if (!topo.inBounds(a) || !topo.inBounds(b) || cap <= 0)
                 return;
-            Link link;
-            link.from = topo.tileIndex(a);
-            link.to = topo.tileIndex(b);
-            link.delay = delay;
-            link.capacity = cap;
-            out[static_cast<std::size_t>(link.from)].push_back(
-                static_cast<int>(links.size()));
-            links.push_back(link);
+            from.push_back(topo.tileIndex(a));
+            to.push_back(topo.tileIndex(b));
+            delay.push_back(d);
+            capacity.push_back(cap);
         };
 
         // Monaco's track mix (Sec. 4.1): per 3-track group, one
-        // cardinal, one diagonal, one skip track.
-        // Track mix: one diagonal per 3-track group (at least one
-        // when any second track exists), one skip per full group.
+        // cardinal, one diagonal, one skip track. At least one
+        // diagonal when any second track exists.
         const int diag_cap = tracks >= 2 ? std::max(1, tracks / 3) : 0;
         const int skip_cap = tracks / 3;
         for (int r = 0; r < rows; ++r) {
             for (int c = 0; c < cols; ++c) {
+                outBegin.push_back(static_cast<int>(from.size()));
+                row.push_back(r);
+                col.push_back(c);
                 Coord here{r, c};
                 add(here, {r + 1, c}, 1.0, tracks);
                 add(here, {r - 1, c}, 1.0, tracks);
@@ -72,10 +68,21 @@ struct RRGraph
                 add(here, {r, c - 2}, 1.6, skip_cap);
             }
         }
+        outBegin.push_back(static_cast<int>(from.size()));
+    }
+
+    std::size_t numLinks() const { return from.size(); }
+
+    int
+    manhattan(int a, int b) const
+    {
+        auto ai = static_cast<std::size_t>(a);
+        auto bi = static_cast<std::size_t>(b);
+        return std::abs(row[ai] - row[bi]) + std::abs(col[ai] - col[bi]);
     }
 };
 
-/** A* search state. */
+/** A* search state; the open list is a min-heap on f. */
 struct SearchNode
 {
     double f = 0.0;
@@ -87,6 +94,16 @@ struct SearchNode
     {
         return f > other.f;
     }
+};
+
+/** Per-tile A* state, valid only while `stamp` is the current
+ *  search's generation; any other tile reads as unreached (g = 1e30,
+ *  no incoming link). Generations are 64-bit and never wrap. */
+struct TileVisit
+{
+    double g = 0.0;
+    int cameFrom = -1;
+    std::uint64_t stamp = 0;
 };
 
 /** A multicast net: one producer, all its off-tile sink tiles. */
@@ -122,34 +139,36 @@ routeGraph(const Graph &graph, const Topology &topo,
 
     // Collect multicast nets: one per producer with off-tile sinks.
     // Sinks on the producer's own tile use intra-tile wiring only.
+    // Sorted (producer, sink tile) pairs give producers and each
+    // producer's sinks in ascending order.
     std::vector<Net> nets;
     {
-        std::map<NodeId, std::map<int, bool>> sinks;
+        std::vector<std::pair<NodeId, int>> sinks;
         for (NodeId id = 0; id < graph.numNodes(); ++id) {
+            int dst_tile = topo.tileIndex(placement.of(id));
             for (const InputConn &in : graph.node(id).inputs) {
                 if (in.isImm || in.src == kInvalidId)
                     continue;
-                int src_tile = topo.tileIndex(placement.of(in.src));
-                int dst_tile = topo.tileIndex(placement.of(id));
-                if (src_tile != dst_tile)
-                    sinks[in.src][dst_tile] = true;
+                if (topo.tileIndex(placement.of(in.src)) != dst_tile)
+                    sinks.emplace_back(in.src, dst_tile);
             }
         }
-        for (auto &[src, tiles] : sinks) {
+        std::sort(sinks.begin(), sinks.end());
+        sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
+        for (std::size_t i = 0; i < sinks.size();) {
             Net net;
-            net.src = src;
-            net.srcTile = topo.tileIndex(placement.of(src));
-            Coord s = topo.tileCoord(net.srcTile);
-            for (auto &[tile, _] : tiles) {
-                net.dstTiles.push_back(tile);
+            net.src = sinks[i].first;
+            net.srcTile = topo.tileIndex(placement.of(net.src));
+            for (; i < sinks.size() && sinks[i].first == net.src; ++i) {
+                net.dstTiles.push_back(sinks[i].second);
                 net.span = std::max(
-                    net.span, s.manhattan(topo.tileCoord(tile)));
+                    net.span, rr.manhattan(net.srcTile, sinks[i].second));
             }
             // Route near sinks first so far sinks reuse the tree.
             std::sort(net.dstTiles.begin(), net.dstTiles.end(),
                       [&](int a, int b) {
-                          return s.manhattan(topo.tileCoord(a)) <
-                                 s.manhattan(topo.tileCoord(b));
+                          return rr.manhattan(net.srcTile, a) <
+                                 rr.manhattan(net.srcTile, b);
                       });
             nets.push_back(std::move(net));
         }
@@ -159,8 +178,16 @@ routeGraph(const Graph &graph, const Topology &topo,
     std::sort(nets.begin(), nets.end(),
               [](const Net &a, const Net &b) { return a.span > b.span; });
 
-    std::vector<double> history(rr.links.size(), 0.0);
-    std::vector<int> usage(rr.links.size(), 0);
+    const std::size_t num_links = rr.numLinks();
+    std::vector<double> history(num_links, 0.0);
+    std::vector<int> usage(num_links, 0);
+    /** delay * (1 + history): a link's cost while it has room. */
+    std::vector<double> base_cost(num_links);
+    for (std::size_t li = 0; li < num_links; ++li)
+        base_cost[li] = rr.delay[li] * (1.0 + history[li]);
+    /** base_cost times the present-congestion penalty one more
+     *  claim would pay at the current usage. */
+    std::vector<double> live_cost(num_links);
     /** Per net: claimed link ids and per-sink source-to-sink delay. */
     std::vector<std::vector<int>> net_links(nets.size());
     std::vector<double> net_delay(nets.size(), 0.0);
@@ -169,14 +196,21 @@ routeGraph(const Graph &graph, const Topology &topo,
 
     const std::size_t num_tiles =
         static_cast<std::size_t>(topo.numTiles());
-    std::vector<double> best_g(num_tiles);
-    std::vector<int> came_from(num_tiles);
+    std::vector<TileVisit> visit(num_tiles);
+    std::uint64_t search = 0;
+    /** Tiles on the current net's tree carry its stamp. */
+    std::vector<std::uint64_t> tree_stamp(num_tiles, 0);
+    std::uint64_t tree = 0;
     /** Raw wire delay from the producer along the net's tree. */
     std::vector<double> tree_delay(num_tiles);
-    std::vector<std::uint8_t> in_tree(num_tiles);
+    std::vector<int> tree_tiles;
+    std::vector<SearchNode> open;
+    std::vector<int> path;
+    const std::greater<SearchNode> heap_order;
 
     for (int iter = 1; iter <= options.maxIterations; ++iter) {
         std::fill(usage.begin(), usage.end(), 0);
+        live_cost = base_cost;
 
         for (std::size_t ni = 0; ni < nets.size(); ++ni) {
             const Net &net = nets[ni];
@@ -185,115 +219,111 @@ routeGraph(const Graph &graph, const Topology &topo,
 
             // Grow a routing tree from the source to every sink,
             // reusing (and not re-charging) this net's own links.
-            std::fill(in_tree.begin(), in_tree.end(), 0);
-            in_tree[static_cast<std::size_t>(net.srcTile)] = 1;
+            ++tree;
+            auto in_tree = [&](int t) {
+                return tree_stamp[static_cast<std::size_t>(t)] == tree;
+            };
+            tree_stamp[static_cast<std::size_t>(net.srcTile)] = tree;
             tree_delay[static_cast<std::size_t>(net.srcTile)] = 0.0;
-            std::vector<int> tree_tiles{net.srcTile};
+            tree_tiles.assign(1, net.srcTile);
 
             for (int sink : net.dstTiles) {
-                if (in_tree[static_cast<std::size_t>(sink)]) {
+                if (in_tree(sink)) {
                     net_delay[ni] = std::max(
                         net_delay[ni],
                         tree_delay[static_cast<std::size_t>(sink)]);
                     continue;
                 }
-                std::fill(best_g.begin(), best_g.end(), 1e30);
-                std::fill(came_from.begin(), came_from.end(), -1);
+                ++search;
 
-                Coord goal = topo.tileCoord(sink);
+                const auto goal = static_cast<std::size_t>(sink);
                 auto heuristic = [&](int tile) {
                     // Cheapest per-distance cost is the diagonal
                     // track at 0.7/unit; admissible.
-                    return 0.7 * topo.tileCoord(tile).manhattan(goal);
+                    return 0.7 * rr.manhattan(tile, sink);
                 };
 
-                std::priority_queue<SearchNode,
-                                    std::vector<SearchNode>,
-                                    std::greater<SearchNode>>
-                    open;
+                open.clear();
                 for (int t : tree_tiles) {
                     auto ti = static_cast<std::size_t>(t);
-                    best_g[ti] = tree_delay[ti];
-                    open.push(SearchNode{
+                    visit[ti] = TileVisit{tree_delay[ti], -1, search};
+                    open.push_back(SearchNode{
                         tree_delay[ti] + heuristic(t), tree_delay[ti],
                         t});
+                    std::push_heap(open.begin(), open.end(), heap_order);
                 }
 
                 while (!open.empty()) {
-                    SearchNode cur = open.top();
-                    open.pop();
+                    std::pop_heap(open.begin(), open.end(), heap_order);
+                    SearchNode cur = open.back();
+                    open.pop_back();
                     if (cur.tile == sink)
                         break;
-                    if (cur.g > best_g[static_cast<std::size_t>(
-                                    cur.tile)] +
-                                    1e-12)
+                    // Every pushed tile carries this search's stamp.
+                    if (cur.g >
+                        visit[static_cast<std::size_t>(cur.tile)].g +
+                            1e-12)
                         continue;
-                    for (int link_id :
-                         rr.out[static_cast<std::size_t>(cur.tile)]) {
-                        const Link &link = rr.links[
-                            static_cast<std::size_t>(link_id)];
-                        double penalty = 1.0;
-                        int u = usage[static_cast<std::size_t>(link_id)];
-                        if (u + 1 > link.capacity) {
-                            penalty += options.presentFactor *
-                                       (u + 1 - link.capacity);
-                        }
-                        double cost =
-                            link.delay *
-                            (1.0 + history[static_cast<std::size_t>(
-                                       link_id)]) *
-                            penalty;
-                        double g2 = cur.g + cost;
-                        auto to = static_cast<std::size_t>(link.to);
-                        if (g2 < best_g[to] - 1e-12) {
-                            best_g[to] = g2;
-                            came_from[to] = link_id;
-                            open.push(SearchNode{
-                                g2 + heuristic(link.to), g2, link.to});
+                    const auto ct = static_cast<std::size_t>(cur.tile);
+                    for (int li = rr.outBegin[ct]; li < rr.outBegin[ct + 1];
+                         ++li) {
+                        const auto l = static_cast<std::size_t>(li);
+                        double g2 = cur.g + live_cost[l];
+                        TileVisit &next =
+                            visit[static_cast<std::size_t>(rr.to[l])];
+                        double best =
+                            next.stamp == search ? next.g : 1e30;
+                        if (g2 < best - 1e-12) {
+                            next = TileVisit{g2, li, search};
+                            open.push_back(SearchNode{
+                                g2 + heuristic(rr.to[l]), g2, rr.to[l]});
+                            std::push_heap(open.begin(), open.end(),
+                                           heap_order);
                         }
                     }
                 }
 
-                NUPEA_ASSERT(
-                    came_from[static_cast<std::size_t>(sink)] != -1,
-                    "net unreachable; routing graph disconnected");
+                NUPEA_ASSERT(visit[goal].stamp == search &&
+                                 visit[goal].cameFrom != -1,
+                             "net unreachable; routing graph disconnected");
 
                 // Walk back to the attachment point, claiming links.
-                std::vector<int> path;
+                path.clear();
                 int tile = sink;
-                while (!in_tree[static_cast<std::size_t>(tile)]) {
+                while (!in_tree(tile)) {
                     int link_id =
-                        came_from[static_cast<std::size_t>(tile)];
+                        visit[static_cast<std::size_t>(tile)].cameFrom;
                     path.push_back(link_id);
-                    tile = rr.links[static_cast<std::size_t>(link_id)]
-                               .from;
+                    tile = rr.from[static_cast<std::size_t>(link_id)];
                 }
                 // `tile` is the attach point; extend the tree.
                 double d = tree_delay[static_cast<std::size_t>(tile)];
                 for (auto it = path.rbegin(); it != path.rend(); ++it) {
-                    const Link &link =
-                        rr.links[static_cast<std::size_t>(*it)];
-                    ++usage[static_cast<std::size_t>(*it)];
+                    const auto l = static_cast<std::size_t>(*it);
+                    int over = ++usage[l] + 1 - rr.capacity[l];
+                    if (over > 0) {
+                        live_cost[l] = base_cost[l] *
+                                       (1.0 + options.presentFactor * over);
+                    }
                     net_links[ni].push_back(*it);
-                    d += link.delay;
-                    auto to = static_cast<std::size_t>(link.to);
-                    in_tree[to] = 1;
+                    d += rr.delay[l];
+                    auto to = static_cast<std::size_t>(rr.to[l]);
+                    tree_stamp[to] = tree;
                     tree_delay[to] = d;
-                    tree_tiles.push_back(link.to);
+                    tree_tiles.push_back(rr.to[l]);
                 }
-                net_delay[ni] = std::max(
-                    net_delay[ni],
-                    tree_delay[static_cast<std::size_t>(sink)]);
+                net_delay[ni] = std::max(net_delay[ni], tree_delay[goal]);
             }
         }
 
         // Check for overuse and grow history costs.
         std::size_t overused = 0;
-        for (std::size_t li = 0; li < rr.links.size(); ++li) {
-            if (usage[li] > rr.links[li].capacity) {
+        for (std::size_t li = 0; li < num_links; ++li) {
+            if (usage[li] > rr.capacity[li]) {
                 ++overused;
                 history[li] += options.historyIncrement *
-                               (usage[li] - rr.links[li].capacity);
+                               (usage[li] - rr.capacity[li]);
+                base_cost[li] = rr.delay[li] * (1.0 + history[li]);
             }
         }
 
@@ -307,9 +337,7 @@ routeGraph(const Graph &graph, const Topology &topo,
 
     // Export final link occupancy for analysis and testing.
     result.linkUsage = usage;
-    result.linkCapacity.reserve(rr.links.size());
-    for (const Link &link : rr.links)
-        result.linkCapacity.push_back(link.capacity);
+    result.linkCapacity = rr.capacity;
 
     // Gather per-net timing (raw wire delay, no penalty terms).
     result.maxNetDelay = options.intraTileDelay;
@@ -323,10 +351,8 @@ routeGraph(const Graph &graph, const Topology &topo,
             nets[ni].dstTiles.empty() ? -1 : nets[ni].dstTiles.back();
         route.delay = net_delay[ni];
         route.hops = static_cast<int>(net_links[ni].size());
-        for (int link_id : net_links[ni]) {
-            result.totalWire +=
-                rr.links[static_cast<std::size_t>(link_id)].delay;
-        }
+        for (int link_id : net_links[ni])
+            result.totalWire += rr.delay[static_cast<std::size_t>(link_id)];
         result.maxNetDelay = std::max(result.maxNetDelay, route.delay);
         result.nets.push_back(route);
     }

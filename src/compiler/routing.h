@@ -13,10 +13,11 @@
  *   - skip:     2-tile cardinal jumps, delay 1.6, capacity =
  *     tracks / 3.
  *
- * Each dataflow edge whose endpoints sit on different tiles becomes
- * a net; nets are routed by A* and rerouted under growing history
- * costs until no link is oversubscribed. Routing failure (overuse
- * that never resolves) is how PnR "fails", which drives the
+ * Each producer with consumers on other tiles becomes one multicast
+ * net over all of its off-tile sink tiles. A net is routed as a tree
+ * grown sink by sink with A*, and every net is rerouted under growing
+ * history costs until no link is oversubscribed. Routing failure
+ * (overuse that never resolves) is how PnR "fails", which drives the
  * automatic-parallelization back-off (Sec. 5).
  */
 
@@ -45,13 +46,13 @@ struct RouterOptions
     double intraTileDelay = 0.3;
 };
 
-/** One routed producer->consumer-tile connection. */
+/** One routed multicast net: a producer's tree to its sink tiles. */
 struct NetRoute
 {
     NodeId src = kInvalidId;
-    int dstTile = -1;
-    double delay = 0.0;
-    int hops = 0;
+    int dstTile = -1;   ///< the sink tile farthest from the producer
+    double delay = 0.0; ///< wire delay to the slowest sink
+    int hops = 0;       ///< links in the tree
 };
 
 /** Outcome of routing a placed graph. */
@@ -61,7 +62,7 @@ struct RouteResult
     int iterations = 0;
     std::size_t overusedLinks = 0; ///< remaining overuse on failure
     double maxNetDelay = 0.0;      ///< wire units, longest net
-    double totalWire = 0.0;        ///< sum of net delays
+    double totalWire = 0.0;        ///< sum of claimed links' delays
     std::vector<NetRoute> nets;
     /** Final per-link usage and capacity (same indexing). */
     std::vector<int> linkUsage;
@@ -72,8 +73,9 @@ struct RouteResult
 };
 
 /**
- * Route every inter-tile dataflow edge of a placed graph. Nets with
- * identical (producer, destination tile) share one route.
+ * Route every inter-tile dataflow edge of a placed graph: one
+ * multicast tree per producer, spanning all of its off-tile sink
+ * tiles.
  */
 RouteResult routeGraph(const Graph &graph, const Topology &topo,
                        const Placement &placement,

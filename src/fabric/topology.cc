@@ -8,6 +8,22 @@
 namespace nupea
 {
 
+namespace
+{
+
+/** The router needs at least one track per tile edge; with none, the
+ *  routing graph has no links and no inter-tile net can route. */
+void
+checkDataTracks(const char *kind, int data_tracks)
+{
+    if (data_tracks < 1) {
+        fatal(kind, " fabric needs at least one data track per tile "
+              "edge, got data_tracks = ", data_tracks);
+    }
+}
+
+} // namespace
+
 FuSlots
 Topology::slots(Coord c) const
 {
@@ -134,6 +150,7 @@ Topology
 Topology::makeMonaco(int rows, int cols, int data_tracks, int d0_cols)
 {
     NUPEA_ASSERT(rows >= 2 && cols >= 1 && d0_cols >= 1);
+    checkDataTracks("Monaco", data_tracks);
     Topology topo;
     topo.kind_ = TopologyKind::Monaco;
     topo.name_ = formatMessage("monaco-", rows, "x", cols);
@@ -158,6 +175,7 @@ Topology
 Topology::makeClusteredSingle(int rows, int cols, int data_tracks)
 {
     NUPEA_ASSERT(rows >= 1 && cols >= 2);
+    checkDataTracks("Clustered-Single", data_tracks);
     Topology topo;
     topo.kind_ = TopologyKind::ClusteredSingle;
     topo.name_ = formatMessage("clustered-single-", rows, "x", cols);
@@ -184,6 +202,7 @@ Topology
 Topology::makeClusteredDouble(int rows, int cols, int data_tracks)
 {
     NUPEA_ASSERT(rows >= 1 && cols >= 4);
+    checkDataTracks("Clustered-Double", data_tracks);
     Topology topo;
     topo.kind_ = TopologyKind::ClusteredDouble;
     topo.name_ = formatMessage("clustered-double-", rows, "x", cols);

@@ -39,6 +39,10 @@ enum class PeKind : std::uint8_t
 /** Instruction capacity of one PE, by FU class (paper Fig. 7). */
 struct FuSlots
 {
+    /** Largest capacity of any one class on any tile (Arith PEs'
+     *  two arith FUs); Topology::slots never exceeds it. */
+    static constexpr std::uint8_t kMaxPerClass = 2;
+
     std::uint8_t arith = 0;
     std::uint8_t control = 0;
     std::uint8_t mem = 0;

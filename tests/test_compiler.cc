@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "compiler/pnr.h"
+#include "memory/memsys.h"
 #include "test_support.h"
+#include "workloads/workload.h"
 
 namespace nupea
 {
@@ -399,10 +401,78 @@ TEST(Pnr, AutoParallelismRampsUntilFailure)
     EXPECT_TRUE(r.pnr.success);
     EXPECT_GE(r.parallelism, 1);
     EXPECT_LT(r.parallelism, 64);
-    // The chosen degree fits; the next power of two must fail.
-    Graph next = factory(r.parallelism * 2);
-    PnrResult fail = placeAndRoute(next, topo);
+    // The ramp stopped because the degree it tried next failed: +1
+    // per step up to 8, then +4. Past the cap it never tried one.
+    int next = r.parallelism < 8 ? r.parallelism + 1 : r.parallelism + 4;
+    if (next <= 64) {
+        Graph tried = factory(next);
+        EXPECT_FALSE(placeAndRoute(tried, topo).success);
+    }
+    // Twice the chosen degree needs twice the slots and wires of a
+    // design that already fills the fabric, so it cannot fit either.
+    Graph doubled = factory(r.parallelism * 2);
+    PnrResult fail = placeAndRoute(doubled, topo);
     EXPECT_FALSE(fail.success);
+}
+
+TEST(Pnr, CongestedOutcomesPinned)
+{
+    // spmspv on a 2-track Monaco 16x16 with the fig16/17 placer
+    // settings: degree 7 routes only after many negotiation rounds
+    // and degree 8 never resolves. Every value is exact, so any
+    // change to congested routing or to the annealer shows here.
+    struct Pin
+    {
+        int degree;
+        bool success;
+        int iterations;
+        std::size_t overusedLinks;
+        double totalWire;
+        double maxNetDelay;
+        long linkUsageSum;
+        std::uint64_t accepted;
+        double winnerCost;
+    };
+    const Pin pins[] = {
+        {7, true, 44, 0, 1510.0000000000064, 10.200000000000001, 1348,
+         3807, 2058.0},
+        {8, false, 60, 13, 1751.4000000000096, 15.800000000000002, 1557,
+         4018, 2485.1999999999998},
+    };
+
+    std::unique_ptr<Workload> wl = makeWorkload("spmspv");
+    BackingStore store(MemSysConfig{}.memBytes);
+    wl->init(store);
+    Topology topo = Topology::makeMonaco(16, 16, 2);
+    PnrOptions opts;
+    opts.place.seed = 1;
+    opts.place.iterationsPerNode = 80;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.degree);
+        Graph g = wl->build(pin.degree);
+        PnrResult r = placeAndRoute(g, topo, opts);
+        EXPECT_EQ(r.success, pin.success);
+        EXPECT_EQ(r.route.iterations, pin.iterations);
+        EXPECT_EQ(r.route.overusedLinks, pin.overusedLinks);
+        EXPECT_EQ(r.route.totalWire, pin.totalWire);
+        EXPECT_EQ(r.route.maxNetDelay, pin.maxNetDelay);
+        long usage = 0;
+        for (int u : r.route.linkUsage)
+            usage += u;
+        EXPECT_EQ(usage, pin.linkUsageSum);
+        ASSERT_EQ(r.placerStats.chains.size(), 1u);
+        EXPECT_EQ(r.placerStats.chains[0].accepted, pin.accepted);
+        EXPECT_EQ(r.placerStats.winnerCost, pin.winnerCost);
+    }
+
+    // The portfolio placer on the degree-7 graph.
+    Graph g = wl->build(7);
+    analyzeCriticality(g);
+    PlacerOptions popts = opts.place;
+    popts.portfolio.chains = 4;
+    PortfolioStats stats;
+    placeGraph(g, topo, popts, &stats);
+    EXPECT_EQ(stats.winnerCost, 1571.5999999999995);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.h"
 #include "fabric/topology.h"
 
 namespace nupea
@@ -176,6 +177,21 @@ TEST(Topology, DataTracksKnob)
 {
     EXPECT_EQ(Topology::makeMonaco(8, 8, 2).dataTracks(), 2);
     EXPECT_EQ(Topology::makeMonaco(8, 8, 7).dataTracks(), 7);
+}
+
+TEST(Topology, FabricWithoutDataTracksIsFatal)
+{
+    // No tracks means no routing links: reject at construction rather
+    // than fail inside the router on the first inter-tile net.
+    for (int tracks : {0, -1}) {
+        SCOPED_TRACE(tracks);
+        EXPECT_THROW(Topology::makeMonaco(8, 8, tracks), FatalError);
+        EXPECT_THROW(Topology::makeClusteredSingle(8, 8, tracks),
+                     FatalError);
+        EXPECT_THROW(Topology::makeClusteredDouble(8, 8, tracks),
+                     FatalError);
+    }
+    EXPECT_EQ(Topology::makeClusteredDouble(8, 8, 1).dataTracks(), 1);
 }
 
 /** Fabric-size sweep (paper Fig. 16 sizes) over all three kinds. */
