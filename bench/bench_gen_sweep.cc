@@ -13,7 +13,7 @@
  *
  * Every point asserts host-reference verification; a non-verified
  * row prints NO and the bench exits 1, so the sweep doubles as a
- * fuzz-style regression gate over the chunked scheduler.
+ * fuzz-style regression gate over the sweep runner's task pool.
  */
 
 #include <cstdio>

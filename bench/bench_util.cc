@@ -61,8 +61,6 @@ compileWorkload(const std::string &name, const Topology &topo,
     // Portfolio placement: the sentinel 0 (no sweep-runner override)
     // behaves like the single-seed placer.
     popts.place.portfolio.chains = std::max(1, options.pnrChains);
-    popts.place.portfolio.pool = options.pnrPool;
-    popts.place.portfolio.trace = options.placerTrace;
 
     int preferred = options.parallelism > 0
                         ? options.parallelism

@@ -68,12 +68,6 @@ struct CompileOptions
      * regardless of the CLI; > 1 runs that many chains.
      */
     int pnrChains = 0;
-    /** Pool the portfolio placer fans its chains out on; null runs
-     *  chains serially. Borrowed; set by compileAll(). */
-    TaskPool *pnrPool = nullptr;
-    /** Optional placer chain-trace hook (TraceSink::onPlacerEpoch).
-     *  Borrowed. */
-    TraceSink *placerTrace = nullptr;
 };
 
 /**

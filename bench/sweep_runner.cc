@@ -78,10 +78,10 @@ printUsage(std::FILE *to, const char *prog,
                  "EXPERIMENTS.md before trusting pruned sweeps)\n"
                  "  --pnr-chains N          portfolio-placer annealing "
                  "chains per compilation (default 1 = the\n"
-                 "                          single-seed placer; chains "
-                 "share --jobs workers and the chosen placement\n"
-                 "                          is identical for any job "
-                 "count)\n"
+                 "                          single-seed placer; a "
+                 "compilation runs its chains one after another,\n"
+                 "                          and the chosen placement is "
+                 "identical for any job count)\n"
                  "  --stall-report          per-point stall-attribution "
                  "tables after the sweep\n"
                  "  --trace-out DIR         one Chrome trace_event JSON "
@@ -123,7 +123,7 @@ defaultJobs()
 {
     if (const char *env = std::getenv("NUPEA_BENCH_JOBS")) {
         if (*env != '\0')
-            return parseCountValue("--jobs", env);
+            return parseCountValue("NUPEA_BENCH_JOBS", env);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
@@ -190,7 +190,7 @@ parseSweepArgs(int argc, char **argv,
             std::exit(0);
         } else if (matchesExtra(arg, i)) {
             // Bench-specific; the value is now in the caller's slot.
-        } else if (arg.size() > 1 && arg[0] == '-') {
+        } else {
             printUsage(stderr, argv[0], extraOptions);
             fatal("unrecognized argument '", arg, "'");
         }
@@ -588,19 +588,14 @@ compileAll(SweepRunner &runner, const std::vector<CompileSpec> &specs)
     tasks.reserve(specs.size());
     bool verify = runner.options().verify;
     int pnr_chains = runner.options().pnrChains;
-    TaskPool *pool = &runner.pool();
     for (const CompileSpec &spec : specs) {
-        tasks.push_back([&spec, verify, pnr_chains, pool]() {
+        tasks.push_back([&spec, verify, pnr_chains]() {
             CompileOptions options = spec.options;
             options.verify = options.verify && verify;
             // Specs that pin their own chain count (pnrChains != 0)
-            // keep it; the sentinel 0 inherits the runner's CLI. The
-            // placer fans its chains out on this very pool — nested
-            // batches run inline on the compiling worker (TaskPool).
+            // keep it; the sentinel 0 inherits the runner's CLI.
             if (options.pnrChains == 0)
                 options.pnrChains = pnr_chains;
-            if (options.pnrChains > 1 && options.pnrPool == nullptr)
-                options.pnrPool = pool;
             return compileWorkload(spec.name, spec.topo, options);
         });
     }

@@ -5,19 +5,16 @@
  * Every figure sweep is a set of (compiled workload, machine config)
  * points; each point is a pure function of its inputs — a fresh
  * Machine over a BackingStore reset to the compiled image — so points
- * execute concurrently on a small work-stealing thread pool and
- * aggregate deterministically in submission order. Simulated results
- * are bit-identical for any job count (enforced by test_golden_stats);
+ * execute concurrently on a small thread pool and aggregate
+ * deterministically in submission order. Simulated results are
+ * bit-identical for any job count (enforced by test_golden_stats);
  * only harness wall-clock changes.
  *
- * The scheduler itself — the sharded work-stealing pool with
- * chunked dealing and fail-fast poisoning — lives in
- * common/task_pool.h so library code (the portfolio placer) can use
- * it too; SweepRunner is a thin wrapper that owns one TaskPool plus
- * the sweep-level options. Nested runAll() calls on the same pool
- * run inline (see TaskPool), which is what lets a portfolio placer
- * fan its chains out on the very pool that is running its
- * compileAll() batch.
+ * The scheduler itself — one atomic task cursor, a check-out
+ * handshake per batch, and fail-fast poisoning — lives in
+ * common/task_pool.h, where the repository benchmark uses it too;
+ * SweepRunner is a thin wrapper that owns one TaskPool plus the
+ * sweep-level options.
  *
  * Thread-safety contract leaned on here (audited with the original
  * pool PR):
@@ -91,7 +88,9 @@ struct SweepOptions
     }
 };
 
-/** NUPEA_BENCH_JOBS if set and positive, else hardware concurrency. */
+/** NUPEA_BENCH_JOBS when set and non-empty, else the hardware
+ *  concurrency. A set, non-empty value must be a positive integer;
+ *  anything else is fatal() naming the variable. */
 int defaultJobs();
 
 /**
@@ -118,17 +117,18 @@ struct ValueOption
  * --pnr-chains N / --pnr-chains=N (< 1 is fatal), --stall-report,
  * --trace-out DIR / --trace-out=DIR, --verify / --no-verify, and the
  * bench's own `extraOptions`. --help / -h prints the usage message
- * and exits 0. Any other `-`/`--` argument is fatal() with the usage
- * message — a typo like `--job 8` must not silently run serial.
+ * and exits 0. Any other argument, option or positional, is fatal()
+ * with the usage message — a typo like `--job 8` or a bare `4` meant
+ * as `-j 4` must not silently run at the default job count.
  */
 SweepOptions
 parseSweepArgs(int argc, char **argv,
                const std::vector<ValueOption> &extraOptions = {});
 
 /**
- * Sweep options wrapped around one work-stealing TaskPool (see
- * common/task_pool.h for the scheduling shape). With jobs == 1 every
- * batch runs inline on the calling thread (the exact serial path).
+ * Sweep options wrapped around one TaskPool (see common/task_pool.h
+ * for the scheduling shape). With jobs == 1 every batch runs inline
+ * on the calling thread (the exact serial path).
  */
 class SweepRunner
 {
@@ -140,11 +140,6 @@ class SweepRunner
 
     int jobs() const { return pool_.jobs(); }
     const SweepOptions &options() const { return options_; }
-
-    /** The underlying pool — hand this to library code that fans its
-     *  own work out (e.g. PortfolioOptions::pool); compileAll() does
-     *  so automatically for portfolio compilations. */
-    TaskPool &pool() { return pool_; }
 
     /**
      * The executing pool's worker index for the current thread:

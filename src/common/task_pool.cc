@@ -1,6 +1,6 @@
 #include "common/task_pool.h"
 
-#include <algorithm>
+#include "common/log.h"
 
 namespace nupea
 {
@@ -16,14 +16,14 @@ thread_local const TaskPool *tlsPool = nullptr;
 
 /** Scoped (pool, worker-id) assignment for inline batches. A nested
  *  inline batch keeps the enclosing worker id so per-worker scratch
- *  state stays exclusive; a fresh thread gets id 0. */
+ *  state stays exclusive; a top-level one runs as worker 0. */
 struct ScopedInline
 {
-    ScopedInline(const TaskPool *pool)
+    ScopedInline(const TaskPool *pool, bool top_level)
         : savedPool(tlsPool), savedId(tlsWorkerId)
     {
         tlsPool = pool;
-        if (tlsWorkerId < 0)
+        if (top_level)
             tlsWorkerId = 0;
     }
     ~ScopedInline()
@@ -39,29 +39,38 @@ struct ScopedInline
 
 TaskPool::TaskPool(int jobs) : jobs_(jobs > 0 ? jobs : 1)
 {
-    if (jobs_ > 1) {
-        shards_.reserve(static_cast<std::size_t>(jobs_));
-        for (int w = 0; w < jobs_; ++w)
-            shards_.push_back(std::make_unique<Shard>());
+    if (jobs_ == 1)
+        return;
+    try {
         workers_.reserve(static_cast<std::size_t>(jobs_));
-        for (int w = 0; w < jobs_; ++w) {
-            workers_.emplace_back(
-                [this, w] { workerLoop(static_cast<std::size_t>(w)); });
-        }
+        for (int w = 0; w < jobs_; ++w)
+            workers_.emplace_back([this, w] { workerLoop(w); });
+    } catch (const std::exception &e) {
+        // The destructor will not run: release the started workers
+        // here, or they would block forever on destroyed members.
+        stopWorkers();
+        fatal("cannot start ", jobs_, " worker threads: ", e.what());
     }
 }
 
 TaskPool::~TaskPool()
 {
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            shutdown_ = true;
-        }
-        cvWork_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
+    stopWorkers();
+}
+
+void
+TaskPool::stopWorkers()
+{
+    if (workers_.empty())
+        return;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        shutdown_ = true;
     }
+    cvWork_.notify_all();
+    for (std::thread &t : workers_)
+        t.join();
+    workers_.clear();
 }
 
 int
@@ -89,7 +98,7 @@ void
 TaskPool::runInline(std::vector<std::function<void()>> &tasks,
                     bool top_level)
 {
-    ScopedInline scope(this);
+    ScopedInline scope(this, top_level);
     std::exception_ptr first;
     std::size_t skipped = 0;
     for (std::function<void()> &task : tasks) {
@@ -115,134 +124,54 @@ TaskPool::runAll(std::vector<std::function<void()>> tasks)
     if (tasks.empty())
         return;
 
+    // Nested call from one of this pool's own tasks: the caller's
+    // batch holds the pool, so run inline under the caller's id.
+    if (tlsPool == this) {
+        runInline(tasks, /*top_level=*/false);
+        return;
+    }
+
+    std::lock_guard<std::mutex> turn(submitMu_);
     if (workers_.empty()) {
         // jobs=1: the exact serial path; skippedLast() is meaningful.
         runInline(tasks, /*top_level=*/true);
         return;
     }
 
-    // Nested call from one of this pool's own tasks, or a second
-    // thread racing an active batch: the shared batch state is in
-    // use, so run inline rather than deadlock or corrupt it.
-    bool expected = false;
-    if (tlsPool == this ||
-        !active_.compare_exchange_strong(expected, true)) {
-        runInline(tasks, /*top_level=*/false);
-        return;
-    }
-
     batch_ = std::move(tasks);
     errors_.assign(batch_.size(), nullptr);
+    next_.store(0, std::memory_order_relaxed);
     poisoned_.store(false, std::memory_order_relaxed);
     skipped_.store(0, std::memory_order_relaxed);
 
-    const std::size_t n = batch_.size();
-    // ~4 chunks per worker: big enough to amortize per-chunk
-    // scheduling over tiny points, small enough that stealing
-    // can still balance an uneven batch.
-    const std::size_t grain = std::max<std::size_t>(
-        1, n / (4 * static_cast<std::size_t>(jobs_)));
-
-    // Publish the task count before any chunk is visible.
-    remaining_.store(n, std::memory_order_relaxed);
-
-    // Deal contiguous chunks round-robin. Shard locks, not the
-    // global mutex: the batch_/errors_ writes above happen-before
-    // any worker's take through the same shard lock.
-    std::size_t shard = 0;
-    for (std::size_t begin = 0; begin < n; begin += grain) {
-        Chunk chunk{begin, std::min(begin + grain, n)};
-        Shard &s = *shards_[shard++ % shards_.size()];
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.chunks.push_back(chunk);
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++epoch_;
-    }
-    cvWork_.notify_all();
-
+    // The epoch bump under mu_ publishes the batch state above to
+    // every worker, which reads it only after waking under mu_; the
+    // check-outs, also under mu_, publish the tasks' writes back.
     {
         std::unique_lock<std::mutex> lock(mu_);
-        cvDone_.wait(lock, [this] {
-            return remaining_.load(std::memory_order_acquire) == 0;
-        });
+        checkedOut_ = 0;
+        ++epoch_;
+        cvWork_.notify_all();
+        cvDone_.wait(lock, [this] { return checkedOut_ == jobs_; });
     }
 
-    // Drain the shared batch state before releasing the pool to the
-    // next top-level caller; only then throw.
     std::exception_ptr first;
-    batch_.clear();
     for (std::exception_ptr &err : errors_) {
         if (err) {
             first = err;
             break;
         }
     }
+    batch_.clear();
     errors_.clear();
-    active_.store(false, std::memory_order_release);
     if (first)
         std::rethrow_exception(first);
 }
 
-bool
-TaskPool::takeChunk(std::size_t wid, Chunk &out)
-{
-    Shard &own = *shards_[wid];
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(own.mu);
-            if (!own.chunks.empty()) {
-                // Owners drain front-to-back: chunks were dealt in
-                // submission order and nothing is spawned mid-batch.
-                out = own.chunks.front();
-                own.chunks.pop_front();
-                return true;
-            }
-        }
-        // Steal from the opposite end of the first available peer.
-        bool contended = false;
-        for (std::size_t k = 1; k < shards_.size(); ++k) {
-            Shard &victim = *shards_[(wid + k) % shards_.size()];
-            std::unique_lock<std::mutex> lock(victim.mu,
-                                              std::try_to_lock);
-            if (!lock.owns_lock()) {
-                contended = true;
-                continue;
-            }
-            if (victim.chunks.empty())
-                continue;
-            out = victim.chunks.back();
-            victim.chunks.pop_back();
-            return true;
-        }
-        if (!contended)
-            return false; // every shard is drained
-        std::this_thread::yield();
-    }
-}
-
 void
-TaskPool::runChunk(const Chunk &chunk)
+TaskPool::workerLoop(int wid)
 {
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i)
-        executeTask(i);
-    std::size_t count = chunk.end - chunk.begin;
-    if (remaining_.fetch_sub(count, std::memory_order_acq_rel) ==
-        count) {
-        // Last chunk of the batch: wake the submitting thread. The
-        // lock pairs with cvDone_.wait's predicate check so the
-        // notification cannot be lost.
-        std::lock_guard<std::mutex> lock(mu_);
-        cvDone_.notify_all();
-    }
-}
-
-void
-TaskPool::workerLoop(std::size_t wid)
-{
-    tlsWorkerId = static_cast<int>(wid);
+    tlsWorkerId = wid;
     tlsPool = this;
     std::uint64_t seen_epoch = 0;
     for (;;) {
@@ -255,9 +184,13 @@ TaskPool::workerLoop(std::size_t wid)
                 return;
             seen_epoch = epoch_;
         }
-        Chunk chunk;
-        while (takeChunk(wid, chunk))
-            runChunk(chunk);
+        const std::size_t n = batch_.size();
+        for (std::size_t task;
+             (task = next_.fetch_add(1, std::memory_order_relaxed)) < n;)
+            executeTask(task);
+        std::lock_guard<std::mutex> lock(mu_);
+        if (++checkedOut_ == jobs_)
+            cvDone_.notify_one();
     }
 }
 

@@ -1,36 +1,36 @@
 /**
  * @file
- * A small work-stealing thread pool with sharded per-worker queues.
+ * A small self-scheduling thread pool for batches of independent
+ * tasks.
  *
- * Extracted from the bench sweep runner so library code — today the
- * portfolio placer (compiler/placement.h), tomorrow the
- * simulation-as-a-service daemon — can run batches of independent
- * tasks without depending on the bench layer. The scheduling shape
- * is unchanged from the audited sweep-runner pool:
+ * Extracted from the bench sweep runner so library code (and the
+ * repository benchmark) can run batches without depending on the
+ * bench layer. Its tasks are coarse — sweep points of milliseconds,
+ * compilations of up to seconds — so the scheduling shape is the
+ * simplest one that keeps every worker busy:
  *
- *  - Sharded queues: one deque per worker, each behind its own
- *    mutex. Owners pop their front; thieves scan peers and pop the
- *    back. The global mutex is touched only to park idle workers
- *    between batches and to signal batch completion — never per task.
- *  - Chunking: a batch of n tasks is dealt as contiguous chunks of
- *    `max(1, n / (4 * jobs))` tasks, so per-task scheduling overhead
- *    amortizes over many tiny sweep points while leaving ~4 chunks
- *    per worker for stealing to balance.
- *  - Atomic accounting: the remaining-task count is a single atomic
- *    counter; the last decrement signals the submitting thread.
+ *  - One task cursor: a woken worker claims the next unclaimed task
+ *    with a single atomic fetch_add until the cursor passes the end
+ *    of the batch, so a free worker always takes the next task in
+ *    submission order. No lock is taken per task.
+ *  - Check-out handshake: a worker that runs off the end of the
+ *    batch checks out under the pool mutex, and runAll() returns
+ *    only once all `jobs` workers have checked out. No worker can
+ *    therefore still be claiming from a batch that the next runAll()
+ *    replaces; workers read the batch only after waking under that
+ *    same mutex.
  *  - Fail-fast: the first task exception poisons the batch. Workers
- *    still drain every queued chunk, but un-started tasks are skipped
- *    (and counted — see skippedLast()); the first-submitted recorded
+ *    still claim every task, but un-started ones are skipped (and
+ *    counted — see skippedLast()); the first-submitted recorded
  *    exception is re-thrown from runAll() after the drain.
  *
- * Reentrancy: runAll() may be called from inside a task of the same
- * pool (e.g. a parallel compile batch whose placer wants to fan its
- * annealing chains out). A nested call — or a call racing another
- * thread's active batch — runs its tasks inline on the calling
- * thread instead of deadlocking on the shared batch state. Results
- * are identical either way; only parallelism degrades. A nested
- * inline batch keeps the enclosing worker's currentWorker() id, so
- * per-worker scratch arenas indexed by it stay exclusive.
+ * Callers take turns: top-level runAll() calls from different threads
+ * serialize on one submit mutex, so at most one thread at a time runs
+ * tasks under a given worker id. A runAll() from inside a task of the
+ * same pool runs its batch inline on the calling thread and keeps the
+ * enclosing worker's currentWorker() id; results are identical either
+ * way. Cross-pool cycles are not supported: a task of pool A that
+ * waits on pool B, whose task in turn submits to A, blocks.
  */
 
 #ifndef NUPEA_COMMON_TASK_POOL_H
@@ -39,10 +39,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -54,7 +53,8 @@ class TaskPool
 {
   public:
     /** A pool of `jobs` workers; jobs <= 1 runs every batch inline on
-     *  the calling thread (the exact serial path, no threads made). */
+     *  the calling thread (the exact serial path, no threads made).
+     *  fatal() when the workers cannot be started. */
     explicit TaskPool(int jobs = 1);
     ~TaskPool();
 
@@ -106,55 +106,40 @@ class TaskPool
     }
 
   private:
-    /** A contiguous [begin, end) slice of the current batch. */
-    struct Chunk
-    {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-    };
-
-    /** One worker's queue; own mutex so takes never serialize the
-     *  whole pool. Heap-allocated (and padded) per worker so shards
-     *  sit on distinct cache lines. */
-    struct alignas(64) Shard
-    {
-        std::mutex mu;
-        std::deque<Chunk> chunks;
-    };
-
-    void workerLoop(std::size_t wid);
-    /** Pop own front, else steal a peer's back; retries while any
-     *  peer lock is contended so no queued chunk is stranded. */
-    bool takeChunk(std::size_t wid, Chunk &out);
-    void runChunk(const Chunk &chunk);
+    void workerLoop(int wid);
     /** Run one task of the dispatched batch, recording errors and
      *  honoring poisoning. */
     void executeTask(std::size_t task);
     /** Serial execution with purely local error/skip state; used for
-     *  jobs=1 pools, nested calls, and racing top-level calls. */
+     *  jobs=1 pools and nested calls. */
     void runInline(std::vector<std::function<void()>> &tasks,
                    bool top_level);
+    /** Wake and join every started worker. */
+    void stopWorkers();
 
     int jobs_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::thread> workers_;
 
-    /** Current dispatched batch; written by runAll before chunks are
-     *  dealt, so every worker access is ordered by a shard mutex
-     *  acquire. */
+    /** Held by the top-level runAll() for its whole batch. */
+    std::mutex submitMu_;
+
+    /** Current dispatched batch; written by runAll() before the epoch
+     *  bump, read by workers only after they wake under mu_. */
     std::vector<std::function<void()>> batch_;
     std::vector<std::exception_ptr> errors_; ///< slot per task
 
-    std::atomic<std::size_t> remaining_{0}; ///< not yet run/skipped
-    std::atomic<bool> poisoned_{false};     ///< a task threw
-    std::atomic<std::size_t> skipped_{0};   ///< fail-fast skips
-    std::atomic<bool> active_{false};       ///< a batch is dispatched
+    std::atomic<std::size_t> next_{0};    ///< first unclaimed task
+    std::atomic<bool> poisoned_{false};   ///< a task threw
+    std::atomic<std::size_t> skipped_{0}; ///< fail-fast skips
 
-    std::mutex mu_; ///< parks idle workers; guards epoch_/shutdown_
+    std::mutex mu_; ///< guards epoch_, checkedOut_ and shutdown_
     std::condition_variable cvWork_;
     std::condition_variable cvDone_;
-    std::uint64_t epoch_ = 0; ///< bumped per runAll batch
+    std::uint64_t epoch_ = 0; ///< bumped per dispatched batch
+    int checkedOut_ = 0;      ///< workers done with this epoch
     bool shutdown_ = false;
+
+    /** Last: its threads use every member above. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace nupea

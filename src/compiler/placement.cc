@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <memory>
 
 #include "common/log.h"
-#include "common/task_pool.h"
 #include "sim/trace.h"
 
 namespace nupea
@@ -49,7 +47,7 @@ namespace
 constexpr int kNumFuClasses = 4;
 
 /** The historical annealing temperature schedule endpoints. Chain 0
- *  always uses kTBegin; diversified chains perturb their start. */
+ *  always uses kTBegin; later portfolio chains perturb their start. */
 constexpr double kTBegin = 12.0;
 constexpr double kTEnd = 0.05;
 
@@ -619,26 +617,11 @@ struct ChainRun
     std::uint64_t seed = 0;
     std::uint64_t scheduled = 0; ///< total moves this chain may run
     std::uint64_t executed = 0;
-    std::uint64_t pendingStep = 0; ///< moves dispatched this epoch
-    double bestCost = 0.0;         ///< best epoch-boundary cost
-    std::vector<Coord> bestPos;    ///< snapshot at bestCost
+    double bestCost = 0.0;      ///< best epoch-boundary cost
+    std::vector<Coord> bestPos; ///< snapshot at bestCost
     bool alive = true;
     int killedAtEpoch = -1;
 };
-
-/** Fan tasks out on the pool, or run them serially in submission
- *  order when none was given. Chain results are identical either
- *  way — each task touches only its own chain's state. */
-void
-runChainTasks(TaskPool *pool, std::vector<std::function<void()>> tasks)
-{
-    if (pool) {
-        pool->runAll(std::move(tasks));
-        return;
-    }
-    for (std::function<void()> &task : tasks)
-        task();
-}
 
 } // namespace
 
@@ -697,18 +680,17 @@ placeGraph(const Graph &graph, const Topology &topo,
         return result;
     }
 
-    // Portfolio mode. Every barrier decision below is a function of
-    // deterministic per-chain results, and each chain's segment is a
-    // pure function of its seed and move schedule — so the chosen
-    // placement is independent of the pool width (or of having a
-    // pool at all).
+    // Portfolio mode. Each chain's segment is a pure function of its
+    // seed and move schedule, and every barrier decision below is a
+    // function of those per-chain results — so the chosen placement
+    // is a pure function of the options.
     const std::uint64_t epoch_len = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
                std::max(1, pf.epochMovesPerNode)) *
                n);
     const std::uint64_t max_budget = std::max(
         schedule, static_cast<std::uint64_t>(
-                      pf.maxBudgetFactor * static_cast<double>(schedule)));
+                      kMaxChainBudgetFactor * static_cast<double>(schedule)));
 
     std::vector<ChainRun> runs(static_cast<std::size_t>(chains));
     for (int k = 0; k < chains; ++k) {
@@ -719,18 +701,16 @@ placeGraph(const Graph &graph, const Topology &topo,
         if (k > 0) {
             seed = mixChainSeed(options.seed,
                                 static_cast<std::uint64_t>(k));
-            if (pf.diversify) {
-                // Chain-indexed perturbations: start temperature in
-                // [0.6, 1.5] x the default, short-range move mix up
-                // to 45%. Chain 0 stays the reference schedule.
-                std::uint64_t bits = mixChainSeed(seed, 0x70F0ull);
-                double u1 = static_cast<double>((bits >> 11) & 0x3FFFFF) /
-                            static_cast<double>(0x400000);
-                double u2 = static_cast<double>((bits >> 33) & 0x3FFFFF) /
-                            static_cast<double>(0x400000);
-                t_begin = kTBegin * (0.6 + 0.9 * u1);
-                p_local = 0.45 * u2;
-            }
+            // Chain-indexed perturbations: start temperature in
+            // [0.6, 1.5] x the default, short-range move mix up to
+            // 45%. Chain 0 stays the reference schedule.
+            std::uint64_t bits = mixChainSeed(seed, 0x70F0ull);
+            double u1 = static_cast<double>((bits >> 11) & 0x3FFFFF) /
+                        static_cast<double>(0x400000);
+            double u2 = static_cast<double>((bits >> 33) & 0x3FFFFF) /
+                        static_cast<double>(0x400000);
+            t_begin = kTBegin * (0.6 + 0.9 * u1);
+            p_local = 0.45 * u2;
         }
         run.seed = seed;
         run.scheduled = schedule;
@@ -738,20 +718,11 @@ placeGraph(const Graph &graph, const Topology &topo,
             graph, topo, options, tables, seed, t_begin, p_local);
     }
 
-    // Epoch 0: initial placements + cost seeding, fanned out.
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(runs.size());
-        for (ChainRun &run : runs) {
-            tasks.push_back([&run] {
-                run.state->initialPlace();
-                run.state->initCost();
-            });
-        }
-        runChainTasks(pf.pool, std::move(tasks));
-    }
+    // Epoch 0: initial placements + cost seeding.
     for (int k = 0; k < chains; ++k) {
         ChainRun &run = runs[static_cast<std::size_t>(k)];
+        run.state->initialPlace();
+        run.state->initCost();
         run.bestCost = run.state->cost();
         run.bestPos = run.state->positions();
         if (pf.trace) {
@@ -773,22 +744,14 @@ placeGraph(const Graph &graph, const Topology &topo,
             break;
         ++epoch;
 
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(running.size());
+        // Run each live chain's segment in chain order, then snapshot
+        // its improvement for the barrier below.
         for (int k : running) {
             ChainRun &run = runs[static_cast<std::size_t>(k)];
-            run.pendingStep =
+            std::uint64_t step =
                 std::min(epoch_len, run.scheduled - run.executed);
-            std::uint64_t step = run.pendingStep;
-            PlacerState *state = run.state.get();
-            tasks.push_back([state, step] { state->annealMoves(step); });
-        }
-        runChainTasks(pf.pool, std::move(tasks));
-
-        // Barrier: fold in segment results, snapshot improvements.
-        for (int k : running) {
-            ChainRun &run = runs[static_cast<std::size_t>(k)];
-            run.executed += run.pendingStep;
+            run.state->annealMoves(step);
+            run.executed += step;
             double cost = run.state->cost();
             if (cost < run.bestCost) {
                 run.bestCost = cost;

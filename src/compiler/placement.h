@@ -15,17 +15,16 @@
  *  - CriticalityAware: full effcc heuristic.
  *
  * The annealer is a *portfolio*: K independent chains (distinct
- * seeds, optionally perturbed temperature schedules and move mixes)
- * run concurrently on a caller-provided TaskPool, synchronizing at
- * fixed move-count epochs. At each epoch barrier, chains whose
+ * seeds; chains after the first with perturbed temperature schedules
+ * and move mixes) advance in fixed move-count epochs, one after
+ * another on the calling thread. At each epoch barrier, chains whose
  * best-so-far cost is dominated beyond a margin are killed and their
  * unspent move budget is reassigned to the survivors (capped at
- * maxBudgetFactor x the single-chain schedule, which bounds the
- * parallel critical path). The winner is picked deterministically
- * (lowest best cost, then lowest chain index — i.e. seed order), so
- * the chosen placement is a pure function of the options and is
- * byte-identical for any pool width. chains=1 reproduces the
- * historical single-seed placer bit-for-bit.
+ * kMaxChainBudgetFactor x the single-chain schedule). The winner is
+ * picked deterministically (lowest best cost, then lowest chain
+ * index — i.e. seed order), so the chosen placement is a pure
+ * function of the options. chains=1 reproduces the historical
+ * single-seed placer bit-for-bit.
  */
 
 #ifndef NUPEA_COMPILER_PLACEMENT_H
@@ -42,7 +41,6 @@
 namespace nupea
 {
 
-class TaskPool;  // common/task_pool.h
 class TraceSink; // sim/trace.h
 
 /** Per-node tile assignment. */
@@ -68,6 +66,10 @@ enum class PlaceMode : std::uint8_t
 /** Printable mode name. */
 std::string_view placeModeName(PlaceMode mode);
 
+/** Cap on any portfolio chain's total move budget, as a multiple of
+ *  the single-chain schedule: reassigned budget stops there. */
+inline constexpr double kMaxChainBudgetFactor = 1.25;
+
 /** Portfolio-annealing knobs (see the file comment). */
 struct PortfolioOptions
 {
@@ -79,16 +81,6 @@ struct PortfolioOptions
     /** A chain is killed at a barrier when its best cost exceeds the
      *  leader's best by more than this relative margin. */
     double killMargin = 0.15;
-    /** Cap on any chain's total move budget, as a multiple of the
-     *  single-chain schedule; bounds the parallel critical path. */
-    double maxBudgetFactor = 1.25;
-    /** Perturb chains > 0: temperature schedule and a short-range
-     *  move mix. Chain 0 is never perturbed. */
-    bool diversify = true;
-    /** Pool to fan chains out on; null runs them serially (results
-     *  are identical either way). Borrowed, may be in use — the
-     *  pool runs nested batches inline. */
-    TaskPool *pool = nullptr;
     /** Optional per-epoch chain observability hook. Borrowed. */
     TraceSink *trace = nullptr;
 };

@@ -10,7 +10,7 @@
  *     path shows up as an exact-number diff here.
  *  2. Serial-vs-parallel equivalence: the same sweep executed with
  *     --jobs 1 and --jobs 8 must produce bit-identical per-point
- *     stats, proving the work-stealing runner cannot perturb results.
+ *     stats, proving the parallel runner cannot perturb results.
  *
  * Unit tests for the SweepRunner scheduler itself live in
  * test_sweep_runner.cc; both files carry the `tsan` ctest label and

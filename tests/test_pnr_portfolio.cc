@@ -2,23 +2,23 @@
  * @file
  * Portfolio-placer guardrails (compiler/placement.h):
  *
- *  - determinism: the chains=4 portfolio must pick the byte-identical
- *    placement whether its chains run serially, on a 1-worker pool,
- *    or on an 8-worker pool — for every registered workload and for
- *    20 seeded random generator shapes;
+ *  - determinism: two runs of the chains=4 portfolio must pick the
+ *    byte-identical placement and per-chain stats — for every
+ *    registered workload and for 20 seeded random generator shapes;
  *  - single-seed compatibility: chains=1 is the historical placer
- *    bit-for-bit, with the stats/pool/trace hooks inert;
+ *    bit-for-bit, with the stats/trace hooks inert;
  *  - quality: the 4-chain portfolio's basket cost never exceeds the
  *    single seed's (the Fig. 12 acceptance criterion);
  *  - bookkeeping: winnerCost is the exact placementCost of the
  *    returned placement, per-chain budgets respect the
- *    maxBudgetFactor cap, killed chains never win, and the epoch
+ *    kMaxChainBudgetFactor cap, killed chains never win, and the epoch
  *    trace hook fires exactly when a portfolio runs;
  *  - plumbing: compileAll resolves the CompileOptions::pnrChains
  *    sentinel from the sweep runner's --pnr-chains.
  *
  * Labeled `pnr-portfolio` (its own ctest preset) combined with
- * `ubsan`/`tsan` so both sanitizer presets race the chain fan-out.
+ * `ubsan`/`tsan` so both sanitizer presets run the placer and the
+ * compileAll batch that drives it.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include <cmath>
 
 #include "bench/sweep_runner.h"
-#include "common/task_pool.h"
 #include "compiler/criticality.h"
 #include "compiler/placement.h"
 #include "sim/trace.h"
@@ -96,28 +95,19 @@ expectSameStats(const PortfolioStats &a, const PortfolioStats &b,
     }
 }
 
-/** The portfolio result must not depend on how chains are scheduled:
- *  serial, 1-worker pool, and 8-worker pool are byte-identical. */
+/** The portfolio result is a pure function of the options: two runs
+ *  pick byte-identical placements with identical per-chain stats. */
 void
-checkPoolWidthInvariance(const Graph &graph, const Topology &topo,
+checkRunToRunDeterminism(const Graph &graph, const Topology &topo,
                          const std::string &who)
 {
     PlacerOptions opts = fastOptions(4);
-    PortfolioStats serial_stats;
-    Placement serial = placeGraph(graph, topo, opts, &serial_stats);
-    EXPECT_TRUE(placementLegal(graph, topo, serial)) << who;
-
-    TaskPool pool1(1), pool8(8);
-    for (TaskPool *pool : {&pool1, &pool8}) {
-        PlacerOptions popts = fastOptions(4);
-        popts.portfolio.pool = pool;
-        PortfolioStats stats;
-        Placement got = placeGraph(graph, topo, popts, &stats);
-        std::string label =
-            who + " jobs=" + std::to_string(pool->jobs());
-        expectSamePlacement(serial, got, label);
-        expectSameStats(serial_stats, stats, label);
-    }
+    PortfolioStats first_stats, second_stats;
+    Placement first = placeGraph(graph, topo, opts, &first_stats);
+    EXPECT_TRUE(placementLegal(graph, topo, first)) << who;
+    Placement second = placeGraph(graph, topo, opts, &second_stats);
+    expectSamePlacement(first, second, who);
+    expectSameStats(first_stats, second_stats, who);
 }
 
 TEST(PnrPortfolio, DeterministicAcrossPoolWidthsAllWorkloads)
@@ -126,7 +116,7 @@ TEST(PnrPortfolio, DeterministicAcrossPoolWidthsAllWorkloads)
     for (const std::string &name : workloadNames()) {
         auto wl = makeWorkload(name);
         Graph graph = markedGraph(*wl);
-        checkPoolWidthInvariance(graph, topo, name);
+        checkRunToRunDeterminism(graph, topo, name);
     }
 }
 
@@ -138,7 +128,7 @@ TEST(PnrPortfolio, DeterministicAcrossPoolWidthsGeneratedShapes)
         GeneratorSpec spec = GeneratorSpec::random(rng);
         auto wl = makeGeneratedWorkload(spec, /*seed=*/42);
         Graph graph = markedGraph(*wl);
-        checkPoolWidthInvariance(
+        checkRunToRunDeterminism(
             graph, topo,
             formatMessage("seed=", seed, " spec=", spec.name()));
     }
@@ -146,8 +136,8 @@ TEST(PnrPortfolio, DeterministicAcrossPoolWidthsGeneratedShapes)
 
 TEST(PnrPortfolio, SingleChainIgnoresPortfolioHooks)
 {
-    // chains=1 is the pinned historical placer: handing it a pool, a
-    // trace sink, and a stats out-param must not perturb the anneal.
+    // chains=1 is the pinned historical placer: handing it a trace
+    // sink and a stats out-param must not perturb the anneal.
     Topology topo = Topology::makeMonaco(12, 12);
     auto wl = makeWorkload("dmv");
     Graph graph = markedGraph(*wl);
@@ -155,10 +145,8 @@ TEST(PnrPortfolio, SingleChainIgnoresPortfolioHooks)
     PlacerOptions plain = fastOptions(1);
     Placement base = placeGraph(graph, topo, plain);
 
-    TaskPool pool(4);
     TraceSink null_trace;
     PlacerOptions hooked = fastOptions(1);
-    hooked.portfolio.pool = &pool;
     hooked.portfolio.trace = &null_trace;
     PortfolioStats stats;
     Placement got = placeGraph(graph, topo, hooked, &stats);
@@ -230,7 +218,7 @@ TEST(PnrPortfolio, KillsRespectBudgetCapAndWinnerQuality)
     // with the leader survives — on small graphs all chains share
     // the deterministic initial-placement cost as their best, so
     // this test uses mergesort, whose chains diverge below it.) No
-    // chain may exceed the maxBudgetFactor cap, and the winner's
+    // chain may exceed the kMaxChainBudgetFactor cap, and the winner's
     // best must be the minimum over surviving chains.
     Topology topo = Topology::makeMonaco(12, 12);
     auto wl = makeWorkload("mergesort");
@@ -245,14 +233,14 @@ TEST(PnrPortfolio, KillsRespectBudgetCapAndWinnerQuality)
     const std::uint64_t schedule =
         static_cast<std::uint64_t>(opts.iterationsPerNode) *
         graph.numNodes();
-    const double cap = opts.portfolio.maxBudgetFactor *
-                       static_cast<double>(schedule);
+    const double cap =
+        kMaxChainBudgetFactor * static_cast<double>(schedule);
     int killed = 0;
     double best_surviving = 0.0;
     bool have_survivor = false;
     for (const PlacerChainStats &c : stats.chains) {
         EXPECT_LE(static_cast<double>(c.moves), cap + 1.0)
-            << "chain over the maxBudgetFactor cap";
+            << "chain over the kMaxChainBudgetFactor cap";
         if (c.killedAtEpoch >= 0) {
             ++killed;
             EXPECT_FALSE(c.winner);

@@ -1,20 +1,28 @@
 /**
  * @file
- * Unit tests for the sharded, chunking SweepRunner scheduler itself
- * (the simulated-stats guarantees live in test_golden_stats):
- * jobs=1-vs-N result equality under chunking, first-submitted
- * exception ordering, fail-fast skip accounting, steal-heavy
- * imbalance, a many-tiny-task stress case, the strict CLI parser,
- * the sweep footer's unverified-point count, and runSweep's reused
- * per-worker stores against fresh-store runs.
+ * Unit tests for the SweepRunner and its TaskPool scheduler (the
+ * simulated-stats guarantees live in test_golden_stats): jobs=1-vs-N
+ * result equality, first-submitted exception ordering, fail-fast skip
+ * accounting, imbalanced task lengths, a many-tiny-task stress case,
+ * nested and racing top-level batches, back-to-back batches through
+ * the check-out handshake, a pool whose workers cannot start, the
+ * strict CLI and NUPEA_BENCH_JOBS parsing, the sweep footer's
+ * unverified-point count, and runSweep's reused per-worker stores
+ * against fresh-store runs.
  * Labeled `tsan` so the tsan preset races the scheduler.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -37,7 +45,7 @@ TEST(SweepRunnerTest, MapPreservesSubmissionOrder)
     std::vector<std::function<int()>> tasks;
     for (int i = 0; i < kTasks; ++i) {
         tasks.push_back([i]() {
-            // Imbalanced task lengths exercise stealing.
+            // Imbalanced task lengths: free workers take the rest.
             if (i % 7 == 0) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(2));
@@ -53,8 +61,8 @@ TEST(SweepRunnerTest, MapPreservesSubmissionOrder)
 
 TEST(SweepRunnerTest, ChunkedParallelMatchesSerial)
 {
-    // 130 tasks at jobs=8 gives grain 4: every chunk covers several
-    // tasks, so this exercises the chunked path, not one-task deals.
+    // 130 tasks on 8 workers: each worker claims many tasks off the
+    // shared cursor, yet results land in submission order.
     constexpr int kTasks = 130;
     auto makeTasks = []() {
         std::vector<std::function<long()>> tasks;
@@ -169,8 +177,8 @@ TEST(SweepRunnerTest, ParallelPropagatesFirstSubmittedError)
 TEST(SweepRunnerTest, ParallelFailFastSkipsQueuedWork)
 {
     // Task 0 poisons the batch immediately; every other task sleeps,
-    // so by the time the remaining chunks are drained a meaningful
-    // share of the batch must be skipped rather than executed.
+    // so by the time the workers reach the end of the batch a
+    // meaningful share of it must be skipped rather than executed.
     SweepRunner runner(SweepOptions{4});
     std::vector<std::function<int()>> tasks;
     std::atomic<int> executed{0};
@@ -207,6 +215,35 @@ TEST(SweepRunnerTest, JobsResolution)
     const char *argv5[] = {"bench"};
     EXPECT_EQ(parseSweepArgs(1, const_cast<char **>(argv5)).jobs, 0);
     EXPECT_GE(defaultJobs(), 1);
+
+    // NUPEA_BENCH_JOBS, when set and non-empty, must be a positive
+    // integer, and a bad value is reported under the variable's name
+    // rather than a --jobs flag the user never passed.
+    const char *inherited = std::getenv("NUPEA_BENCH_JOBS");
+    const std::optional<std::string> saved =
+        inherited ? std::optional<std::string>(inherited) : std::nullopt;
+    setenv("NUPEA_BENCH_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3);
+    EXPECT_EQ(SweepRunner(SweepOptions{}).jobs(), 3);
+    for (const char *bad : {"abc", "0"}) {
+        setenv("NUPEA_BENCH_JOBS", bad, 1);
+        try {
+            defaultJobs();
+            ADD_FAILURE() << "accepted NUPEA_BENCH_JOBS=" << bad;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("NUPEA_BENCH_JOBS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int cores = hw == 0 ? 1 : static_cast<int>(hw);
+    setenv("NUPEA_BENCH_JOBS", "", 1);
+    EXPECT_EQ(defaultJobs(), cores);
+    unsetenv("NUPEA_BENCH_JOBS");
+    EXPECT_EQ(defaultJobs(), cores);
+    if (saved)
+        setenv("NUPEA_BENCH_JOBS", saved->c_str(), 1);
 }
 
 /** Trace files in `dir` (the sweep writes `<label>.trace.json`). */
@@ -420,10 +457,9 @@ TEST(SweepRunnerTest, PnrEpochResolution)
 
 TEST(TaskPoolTest, NestedRunAllRunsInlineKeepingWorkerId)
 {
-    // The portfolio placer fans chains out on the sweep pool from
-    // inside a compile task of that same pool: the nested batch must
-    // run inline (no deadlock) and keep the enclosing worker's id so
-    // per-worker arenas stay exclusive.
+    // A task that submits a batch to its own pool: the nested batch
+    // must run inline (no deadlock) and keep the enclosing worker's
+    // id so per-worker arenas stay exclusive.
     TaskPool pool(4);
     std::atomic<int> inner_ran{0};
     std::atomic<int> id_mismatches{0};
@@ -450,6 +486,113 @@ TEST(TaskPoolTest, NestedRunAllRunsInlineKeepingWorkerId)
     EXPECT_EQ(TaskPool::currentWorker(), -1);
 }
 
+TEST(TaskPoolTest, RacingTopLevelBatchesKeepWorkerIdsExclusive)
+{
+    // Two threads submit to one pool at once. Top-level batches take
+    // turns, so no two tasks ever run under the same currentWorker()
+    // id at the same time: tasks may index per-worker state by it
+    // without locking.
+    constexpr int kJobs = 2;
+    TaskPool pool(kJobs);
+    std::array<std::atomic<int>, kJobs> holders{};
+    std::atomic<int> collisions{0};
+    std::atomic<int> bad_ids{0};
+    auto submit = [&]() {
+        for (int batch = 0; batch < 10; ++batch) {
+            std::vector<std::function<void()>> tasks;
+            for (int t = 0; t < 6; ++t) {
+                tasks.push_back([&]() {
+                    int w = TaskPool::currentWorker();
+                    if (w < 0 || w >= kJobs) {
+                        bad_ids.fetch_add(1);
+                        return;
+                    }
+                    std::atomic<int> &slot =
+                        holders[static_cast<std::size_t>(w)];
+                    if (slot.fetch_add(1) != 0)
+                        collisions.fetch_add(1);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                    slot.fetch_sub(1);
+                });
+            }
+            pool.runAll(std::move(tasks));
+        }
+    };
+    std::thread a(submit), b(submit);
+    a.join();
+    b.join();
+    EXPECT_EQ(collisions.load(), 0);
+    EXPECT_EQ(bad_ids.load(), 0);
+}
+
+TEST(TaskPoolTest, BackToBackBatchesRunEveryTaskOnce)
+{
+    // Many tiny batches in a row, most smaller than the pool: every
+    // worker must check out of a batch before the next one replaces
+    // it, so a late-waking worker never claims a task of the next
+    // batch. Each task marks its own slot; all must end at exactly 1.
+    constexpr int kBatches = 2000;
+    TaskPool pool(8);
+    std::vector<std::size_t> first_slot;
+    std::size_t slots = 0;
+    for (int b = 0; b < kBatches; ++b) {
+        first_slot.push_back(slots);
+        slots += 1 + static_cast<std::size_t>(b % 3);
+    }
+    std::vector<std::atomic<int>> marks(slots);
+    for (int b = 0; b < kBatches; ++b) {
+        const std::size_t begin = first_slot[static_cast<std::size_t>(b)];
+        std::vector<std::function<void()>> tasks;
+        for (int t = 0; t <= b % 3; ++t) {
+            std::atomic<int> &mark =
+                marks[begin + static_cast<std::size_t>(t)];
+            tasks.push_back([&mark]() { mark.fetch_add(1); });
+        }
+        pool.runAll(std::move(tasks));
+    }
+    for (std::size_t i = 0; i < slots; ++i)
+        ASSERT_EQ(marks[i].load(), 1) << "slot " << i;
+}
+
+/**
+ * Death-test body: cap the address space a little above its current
+ * size, so only a few of 200 workers can get a stack, and build the
+ * pool. It must report fatal() — leaving the started workers joined —
+ * rather than hang; the child exits 3 on that FatalError.
+ */
+void
+startPoolUnderAddressSpaceCap()
+{
+    alarm(10); // a hang kills the child instead of stalling the suite
+    long pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    const rlim_t in_use = static_cast<rlim_t>(pages) *
+                          static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+    rlimit cap{};
+    getrlimit(RLIMIT_AS, &cap);
+    cap.rlim_cur = std::min(cap.rlim_max, in_use + (rlim_t{64} << 20));
+    setrlimit(RLIMIT_AS, &cap);
+    try {
+        TaskPool pool(200);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        _exit(3);
+    }
+    _exit(0);
+}
+
+TEST(TaskPoolDeathTest, WorkerStartFailureIsFatalNotAHang)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer runtimes reserve more address space "
+                    "than the cap leaves";
+#endif
+    EXPECT_EXIT(startPoolUnderAddressSpaceCap(),
+                ::testing::ExitedWithCode(3),
+                "cannot start 200 worker threads");
+}
+
 TEST(SweepRunnerTest, UnknownArgumentsAreFatal)
 {
     // A typo like `--job 8` must not silently run serial.
@@ -462,6 +605,23 @@ TEST(SweepRunnerTest, UnknownArgumentsAreFatal)
     const char *argv3[] = {"bench", "-x"};
     EXPECT_THROW(parseSweepArgs(2, const_cast<char **>(argv3)),
                  FatalError);
+    // Nor may a stray positional argument, such as a bare job count
+    // meant as `-j 4` or a second value after --jobs's own.
+    const char *argv4[] = {"bench", "4"};
+    const char *argv5[] = {"bench", "--jobs", "2", "8"};
+    const char *argv6[] = {"bench", "-"};
+    const std::pair<int, const char **> positional[] = {
+        {2, argv4}, {4, argv5}, {2, argv6}};
+    for (const auto &[argc, argv] : positional) {
+        try {
+            parseSweepArgs(argc, const_cast<char **>(argv));
+            ADD_FAILURE() << "accepted " << argv[argc - 1];
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unrecognized argument"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SweepRunnerTest, ExtraOptionsAreAccepted)
