@@ -12,9 +12,10 @@
 #define NUPEA_DFG_INTERP_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/byte_buffer.h"
@@ -82,29 +83,70 @@ class Interp
     }
 
   private:
-    enum class MergeState : std::uint8_t { Init, Ctrl };
-    enum class HoldState : std::uint8_t { Empty, Held };
+    /** One input port: an immediate, or an unbounded ring FIFO whose
+     *  storage is allocated when the port first receives a token and
+     *  doubles when full. */
+    struct Port
+    {
+        std::unique_ptr<Word[]> ring;
+        std::uint32_t cap = 0;   ///< ring capacity (0 or a power of 2)
+        std::uint32_t head = 0;  ///< index of the oldest token
+        std::uint32_t count = 0; ///< tokens queued
+        bool isImm = false;
+        Word imm = 0;
 
-    bool ready(NodeId id) const;
-    /** Fire a ready node; returns tokens emitted (0 or 1). */
-    int fire(NodeId id, InterpResult &result);
-    void emit(NodeId id, Word value);
+        bool ready() const { return count != 0 || isImm; }
+        Word front() const { return isImm ? imm : ring[head]; }
+        /** Consume the front token; an immediate is never consumed. */
+        Word take();
+        void push(Word value);
+    };
 
-    bool peekInput(NodeId id, int port, Word &value) const;
-    void popInput(NodeId id, int port);
+    /** Per-node firing state; a node's ports are the contiguous range
+     *  ports_[firstPort, firstPort + numInputs), its consumers the
+     *  range fanout_[fanoutBegin, fanoutEnd). */
+    struct NodeState
+    {
+        Op op = Op::Sink;
+        std::uint8_t numInputs = 0;
+        /** Source: 1 until it fires. LoopMerge: 0 Init, 1 Ctrl.
+         *  Invariant(-Gated): 0 Empty, 1 Held. */
+        std::uint8_t state = 0;
+        std::uint32_t firstPort = 0;
+        std::uint32_t fanoutBegin = 0;
+        std::uint32_t fanoutEnd = 0;
+        /** Source: its immediate. Invariant(-Gated): the held value.
+         *  Sink: its index in sinks_. */
+        Word value = 0;
+    };
+
+    /** A fanout edge: consumer node and its port's index in ports_. */
+    struct Edge
+    {
+        NodeId node;
+        std::uint32_t port;
+    };
+
+    struct SinkSlot
+    {
+        NodeId node;
+        SinkRecord rec;
+    };
+
+    /** Fire `id` if it is ready; returns the tokens it emitted (0 or
+     *  1), or -1 when it is not ready. */
+    int step(NodeId id, InterpResult &result);
+    void emit(const NodeState &node, Word value);
+    void exportSinks(InterpResult &result) const;
 
     Word loadWord(Addr addr) const;
     void storeWord(Addr addr, Word value);
 
-    const Graph &graph_;
     ByteBuffer &mem_;
-
-    /** Per-node, per-port token queues (unbounded). */
-    std::vector<std::vector<std::deque<Word>>> fifos_;
-    std::vector<MergeState> mergeState_;
-    std::vector<HoldState> holdState_;
-    std::vector<Word> heldValue_;
-    std::vector<bool> sourcePending_;
+    std::vector<NodeState> nodes_;
+    std::vector<Port> ports_;
+    std::vector<Edge> fanout_; ///< in Graph::fanout() order
+    std::vector<SinkSlot> sinks_; ///< in id order
     MemObserver memObserver_;
 };
 

@@ -33,7 +33,8 @@ class BackingStore
     Word
     loadWord(Addr addr) const
     {
-        NUPEA_ASSERT(addr + 4 <= bytes_.size(), "load OOB at ", addr);
+        NUPEA_ASSERT(std::uint64_t{addr} + 4 <= bytes_.size(),
+                     "load OOB at ", addr);
         NUPEA_ASSERT((addr & 3) == 0, "unaligned load at ", addr);
         std::uint32_t v =
             bytes_[addr] |
@@ -47,10 +48,11 @@ class BackingStore
     void
     storeWord(Addr addr, Word value)
     {
-        NUPEA_ASSERT(addr + 4 <= bytes_.size(), "store OOB at ", addr);
+        NUPEA_ASSERT(std::uint64_t{addr} + 4 <= bytes_.size(),
+                     "store OOB at ", addr);
         NUPEA_ASSERT((addr & 3) == 0, "unaligned store at ", addr);
-        if (addr + 4 > dirty_)
-            dirty_ = addr + 4;
+        if (std::size_t{addr} + 4 > dirty_)
+            dirty_ = std::size_t{addr} + 4;
         auto v = static_cast<std::uint32_t>(value);
         bytes_[addr] = static_cast<std::uint8_t>(v);
         bytes_[addr + 1] = static_cast<std::uint8_t>(v >> 8);

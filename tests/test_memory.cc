@@ -34,6 +34,29 @@ TEST(BackingStore, LittleEndianLayout)
     EXPECT_EQ(store.raw()[3], 0x01);
 }
 
+TEST(BackingStore, LastWordInBounds)
+{
+    BackingStore store(4096);
+    store.storeWord(4092, -9);
+    EXPECT_EQ(store.loadWord(4092), -9);
+    EXPECT_EQ(store.dirtyBytes(), 4096u);
+}
+
+// Address 0xFFFFFFFC (word -4): `addr + 4` in 32-bit arithmetic wraps
+// to 0 and would pass the bounds check.
+TEST(BackingStoreDeathTest, WrappingLoadAddressPanics)
+{
+    BackingStore store(4096);
+    EXPECT_DEATH(store.loadWord(0xFFFFFFFCu), "load OOB at 4294967292");
+}
+
+TEST(BackingStoreDeathTest, WrappingStoreAddressPanics)
+{
+    BackingStore store(4096);
+    EXPECT_DEATH(store.storeWord(0xFFFFFFFCu, 1),
+                 "store OOB at 4294967292");
+}
+
 TEST(BackingStore, AllocatorBumpsAndAligns)
 {
     BackingStore store(4096);

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <string>
@@ -384,6 +385,129 @@ TEST(PerfModelPrune, PruneKeepsMeasuredParetoFront)
             EXPECT_GT(p.run.systemCycles, 0u) << p.label;
             EXPECT_GT(p.run.energy.total(), 0.0) << p.label;
             EXPECT_FALSE(p.run.verified) << p.label;
+        }
+    }
+}
+
+/** Pinned static-model outputs under one config. */
+struct PredictionGolden
+{
+    const char *config; ///< modelCases() tag
+    double systemCycles;
+    const char *dominantBound;
+    PerfBounds bounds;
+    double hitRate;
+    double compute, network, memory; ///< energy terms
+};
+
+/** Pinned profile plus predictions for one workload. */
+struct ModelGolden
+{
+    const char *workload;
+    std::uint64_t firings, loads, stores, totalAccesses, distinctLines;
+    std::array<PredictionGolden, 3> predictions; ///< modelCases() order
+};
+
+/** Exact static-model outputs for three workloads compiled on Monaco
+ *  12x12 with default CompileOptions. The error-bound tests above
+ *  would pass a refactor that moved a bound by one ulp; these pin the
+ *  values themselves. Regenerate with %.17g only for an intentional
+ *  model change. */
+const ModelGolden kModelGolden[] = {
+    {"dmv", 24552, 3200, 40, 3240, 210,
+     {{
+         {"monaco", 1138.5185185185187, "loop-backpressure",
+          {110, 100, 202.5, 184, 219,
+           557.12962962962968, 12.12962962962963},
+          0.93518518518518523, 15716.799999999988, 48977.39999999998,
+          12765.000000000004},
+         {"upea2", 1250.5185185185187, "loop-backpressure",
+          {110, 100, 0, 184, 219,
+           612.12962962962968, 13.12962962962963},
+          0.93518518518518523, 15716.799999999988, 48977.39999999998,
+          17774.999999999996},
+         {"numa-upea2", 1196.7585185185185, "loop-backpressure",
+          {110, 100, 0, 184, 219,
+           585.72962962962958, 12.649629629629629},
+          0.93518518518518523, 15716.799999999988, 48977.39999999998,
+          16241.000000000004},
+     }}},
+    {"spmspv", 69633, 8180, 96, 8276, 252,
+     {{
+         {"monaco", 7881.1106814886416, "recurrence",
+          {571, 523, 297.5, 661.5, 3924.4335427742872,
+           2301.3866602223293, 16.121797970033832},
+          0.96955050749154181, 44664.700000000012, 158043.60000000003,
+          27006.000000000007},
+         {"upea2", 10081.110681488643, "recurrence",
+          {571, 523, 0, 661.5, 5022.4335427742872,
+           2872.3866602223293, 18.121797970033832},
+          0.96955050749154181, 44664.700000000012, 158043.60000000003,
+          43270.000000000007},
+         {"numa-upea2", 9870.0688608612236, "recurrence",
+          {571, 523, 0, 661.5, 4917.4622234626231,
+           2817.7977500884863, 17.572206967988844},
+          0.96955050749154181, 44664.700000000012, 158043.60000000003,
+          38820.000000000007},
+     }}},
+    {"mergesort", 18781, 693, 384, 1077, 16,
+     {{
+         {"monaco", 3512.1058495821726, "recurrence",
+          {248, 184, 92, 36.5, 1739.9935004642525,
+           1123.3686165273909, 16.059424326833799},
+          0.98514391829155057, 9084.5999999999985, 42096.599999999984,
+          3350.9999999999995},
+         {"upea2", 5000.1058495821726, "recurrence",
+          {248, 184, 0, 36.5, 2479.9935004642525,
+           1619.3686165273912, 20.059424326833799},
+          0.98514391829155057, 9084.5999999999985, 42096.599999999984,
+          5505},
+         {"numa-upea2", 4713.0188930604327, "recurrence",
+          {248, 184, 0, 36.5, 2337.2217613338175,
+           1523.6729643534779, 19.287685196399018},
+          0.98514391829155057, 9084.5999999999985, 42096.599999999984,
+          4953},
+     }}},
+};
+
+TEST(PerfModelGolden, PinnedProfileAndPrediction)
+{
+    Topology topo = Topology::makeMonaco(12, 12);
+    const std::vector<ModelCase> cases = modelCases();
+    for (const ModelGolden &g : kModelGolden) {
+        CompiledWorkload cw = compileWorkload(g.workload, topo,
+                                              CompileOptions{});
+        ExecutionProfile profile =
+            profileGraph(cw.graph, cw.image, MemSysConfig{}.memBytes);
+        ASSERT_TRUE(profile.clean) << g.workload;
+        EXPECT_EQ(profile.firings, g.firings) << g.workload;
+        EXPECT_EQ(profile.loads, g.loads) << g.workload;
+        EXPECT_EQ(profile.stores, g.stores) << g.workload;
+        EXPECT_EQ(profile.totalAccesses, g.totalAccesses) << g.workload;
+        EXPECT_EQ(profile.distinctLines, g.distinctLines) << g.workload;
+
+        ASSERT_EQ(cases.size(), g.predictions.size());
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            const PredictionGolden &want = g.predictions[i];
+            ASSERT_STREQ(cases[i].tag, want.config);
+            const std::string ctx =
+                formatMessage(g.workload, "/", want.config);
+            PerfPrediction got = predictFor(cw, profile, cases[i].config);
+            EXPECT_EQ(got.systemCycles, want.systemCycles) << ctx;
+            EXPECT_EQ(got.dominantBound, want.dominantBound) << ctx;
+            const PerfBounds &b = got.bounds;
+            const PerfBounds &w = want.bounds;
+            EXPECT_EQ(b.nodeThroughput, w.nodeThroughput) << ctx;
+            EXPECT_EQ(b.memThroughput, w.memThroughput) << ctx;
+            EXPECT_EQ(b.portThroughput, w.portThroughput) << ctx;
+            EXPECT_EQ(b.bankThroughput, w.bankThroughput) << ctx;
+            EXPECT_EQ(b.recurrence, w.recurrence) << ctx;
+            EXPECT_EQ(b.loopBackpressure, w.loopBackpressure) << ctx;
+            EXPECT_EQ(b.depth, w.depth) << ctx;
+            EXPECT_EQ(got.hitRate, want.hitRate) << ctx;
+            EXPECT_EQ(got.energy.compute, want.compute) << ctx;
+            EXPECT_EQ(got.energy.network, want.network) << ctx;
+            EXPECT_EQ(got.energy.memory, want.memory) << ctx;
         }
     }
 }
