@@ -17,12 +17,10 @@
  * as "analyzer_points_per_sec" so analyzer slowdowns are visible.
  *
  * The simulated-annealing placer is timed the same way: a min-of-3
- * single-chain pass over the basket ("placer_points_per_sec"), plus
- * one 4-chain portfolio pass whose total placement cost is written
- * next to the single-seed cost ("placer_portfolio_cost" /
- * "placer_single_cost"). Costs are a pure function of the seeds, so
- * the guard's quality gate — portfolio never worse than single-seed
- * on the basket — is deterministic on any host.
+ * pass of one anneal per basket workload ("placer_points_per_sec").
+ * The pass's summed placement cost ("placer_single_cost") is a pure
+ * function of the seeds, which a speed-only change must leave
+ * unchanged.
  *
  * The router is timed the same way: a min-of-3 pass of one routeGraph
  * per basket workload on its compiled placement
@@ -39,8 +37,6 @@
  *    baseline's (min-of-3 walls on both sides damp preemption
  *    noise). Baselines recorded before a row existed lack its key;
  *    that gate prints a note and skips rather than failing;
- *  - the 4-chain portfolio's basket placement cost must not exceed
- *    the single seed's;
  *  - no point whose serial wall is >= 1ms may take more than 3x its
  *    serial wall in the largest parallel pass the host can physically
  *    run (jobs <= cpus; per-point timing-artifact gate — store
@@ -297,30 +293,23 @@ main(int argc, char **argv)
             ? static_cast<double>(rspecs.size()) / analyzer_seconds
             : 0.0;
 
-    // Placer throughput + portfolio quality: re-anneal every basket
-    // workload single-chain (min-of-3 walls, same noise policy as the
-    // analyzer), then once as a serial 4-chain portfolio. Criticality
-    // classes were marked on the graphs by placeAndRoute, so this
-    // times exactly the anneal. Placement costs are a pure function
-    // of the seeds — the guard's quality gate below is deterministic
-    // on any host.
-    const int kPortfolioChains = 4;
-    auto basePlacerOptions = [] {
-        CompileOptions defaults;
-        PlacerOptions p;
-        p.mode = defaults.mode;
-        p.seed = defaults.seed;
-        p.iterationsPerNode = defaults.saIterationsPerNode;
-        return p;
-    };
+    // Placer throughput: re-anneal every basket workload (min-of-3
+    // walls, same noise policy as the analyzer). Criticality classes
+    // were marked on the graphs by placeAndRoute, so this times
+    // exactly the anneal.
+    const CompileOptions defaults;
+    PlacerOptions placer_options;
+    placer_options.mode = defaults.mode;
+    placer_options.seed = defaults.seed;
+    placer_options.iterationsPerNode = defaults.saIterationsPerNode;
     double placer_seconds = 0.0;
     double placer_single_cost = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         auto placer_start = std::chrono::steady_clock::now();
         double cost = 0.0;
         for (const CompiledWorkload &cw : compiled) {
-            PortfolioStats stats;
-            placeGraph(cw.graph, cw.topo, basePlacerOptions(), &stats);
+            PlacerStats stats;
+            placeGraph(cw.graph, cw.topo, placer_options, &stats);
             cost += stats.winnerCost;
         }
         double wall = std::chrono::duration<double>(
@@ -335,15 +324,6 @@ main(int argc, char **argv)
         placer_seconds > 0.0
             ? static_cast<double>(compiled.size()) / placer_seconds
             : 0.0;
-
-    double placer_portfolio_cost = 0.0;
-    for (const CompiledWorkload &cw : compiled) {
-        PlacerOptions popts = basePlacerOptions();
-        popts.portfolio.chains = kPortfolioChains;
-        PortfolioStats stats;
-        placeGraph(cw.graph, cw.topo, popts, &stats);
-        placer_portfolio_cost += stats.winnerCost;
-    }
 
     // Router throughput: one route per basket workload on the
     // placement it compiled with, min-of-3 walls.
@@ -538,11 +518,9 @@ main(int argc, char **argv)
         f,
         "  \"placer\": {\"workloads\": %zu, \"wall_seconds\": %.6f, "
         "\"placer_points_per_sec\": %.1f, "
-        "\"placer_single_cost\": %.3f, "
-        "\"placer_portfolio_cost\": %.3f, "
-        "\"portfolio_chains\": %d},\n",
+        "\"placer_single_cost\": %.3f},\n",
         compiled.size(), placer_seconds, placer_points_per_sec,
-        placer_single_cost, placer_portfolio_cost, kPortfolioChains);
+        placer_single_cost);
     std::fprintf(
         f,
         "  \"router\": {\"workloads\": %zu, \"wall_seconds\": %.6f, "
@@ -573,10 +551,9 @@ main(int argc, char **argv)
                 rspecs.size(), analyzer_seconds,
                 analyzer_points_per_sec);
     std::printf("placer: %zu anneals in %.4fs (%.1f points/s); basket "
-                "cost single %.1f vs %d-chain portfolio %.1f\n",
+                "cost %.1f\n",
                 compiled.size(), placer_seconds, placer_points_per_sec,
-                placer_single_cost, kPortfolioChains,
-                placer_portfolio_cost);
+                placer_single_cost);
     std::printf("router: %zu routes in %.4fs (%.1f points/s), %d "
                 "iterations\n",
                 compiled.size(), router_seconds, router_points_per_sec,
@@ -609,23 +586,6 @@ main(int argc, char **argv)
         for (const ThroughputGate &gate : gates) {
             if (!passesGate(gate, baseline_text, guard_path))
                 return 1;
-        }
-
-        // Portfolio-quality gate: a pure cost comparison, so no
-        // baseline and no host-speed caveats. The 4-chain portfolio
-        // must never pick a worse basket than the single seed; a
-        // violation means the epoch/kill machinery regressed (e.g. a
-        // snapshot bug dropping the winner's best state).
-        std::printf("perf guard: placer basket cost single %.1f vs "
-                    "%d-chain portfolio %.1f\n",
-                    placer_single_cost, kPortfolioChains,
-                    placer_portfolio_cost);
-        if (placer_portfolio_cost > placer_single_cost) {
-            warn("perf guard: portfolio placer regression: ",
-                 kPortfolioChains, "-chain basket cost ",
-                 placer_portfolio_cost, " exceeds single-seed ",
-                 placer_single_cost);
-            return 1;
         }
 
         // Per-point timing-artifact gate: store acquisition (mmap +

@@ -58,9 +58,6 @@ compileWorkload(const std::string &name, const Topology &topo,
     popts.place.mode = options.mode;
     popts.place.seed = options.seed;
     popts.place.iterationsPerNode = options.saIterationsPerNode;
-    // Portfolio placement: the sentinel 0 (no sweep-runner override)
-    // behaves like the single-seed placer.
-    popts.place.portfolio.chains = std::max(1, options.pnrChains);
 
     int preferred = options.parallelism > 0
                         ? options.parallelism

@@ -60,14 +60,6 @@ struct CompileOptions
      * harness clears it.
      */
     bool verify = true;
-    /**
-     * Portfolio-placer chains (compiler/placement.h). 0 is a
-     * sentinel: "inherit the sweep runner's --pnr-chains" (resolved
-     * by compileAll(); direct compileWorkload() callers get the
-     * single-seed placer). An explicit 1 pins the single-seed placer
-     * regardless of the CLI; > 1 runs that many chains.
-     */
-    int pnrChains = 0;
 };
 
 /**

@@ -76,12 +76,6 @@ printUsage(std::FILE *to, const char *prog,
                  "model predictions, not measurements (approximate\n"
                  "                          near throughput cliffs -- see "
                  "EXPERIMENTS.md before trusting pruned sweeps)\n"
-                 "  --pnr-chains N          portfolio-placer annealing "
-                 "chains per compilation (default 1 = the\n"
-                 "                          single-seed placer; a "
-                 "compilation runs its chains one after another,\n"
-                 "                          and the chosen placement is "
-                 "identical for any job count)\n"
                  "  --stall-report          per-point stall-attribution "
                  "tables after the sweep\n"
                  "  --trace-out DIR         one Chrome trace_event JSON "
@@ -133,16 +127,30 @@ SweepOptions
 parseSweepArgs(int argc, char **argv,
                const std::vector<ValueOption> &extraOptions)
 {
+    // The value of `--opt VALUE` (the next argument) or `--opt=VALUE`.
+    // A missing or empty value is fatal: an empty path would switch
+    // the option off without a word.
+    auto nextValue = [&](const std::string &opt, int &i,
+                         const char *what) {
+        if (i + 1 >= argc || *argv[i + 1] == '\0')
+            fatal(opt, " expects ", what);
+        return std::string(argv[++i]);
+    };
+    auto inlineValue = [](const std::string &opt, const std::string &arg,
+                          const char *what) {
+        std::string value = arg.substr(opt.size() + 1);
+        if (value.empty())
+            fatal(opt, " expects ", what);
+        return value;
+    };
     auto matchesExtra = [&](const std::string &arg, int &i) {
         for (const ValueOption &opt : extraOptions) {
             if (arg == opt.name) {
-                if (i + 1 >= argc)
-                    fatal(arg, " expects a value");
-                *opt.value = argv[++i];
+                *opt.value = nextValue(arg, i, "a value");
                 return true;
             }
             if (arg.rfind(opt.name + "=", 0) == 0) {
-                *opt.value = arg.substr(opt.name.size() + 1);
+                *opt.value = inlineValue(opt.name, arg, "a value");
                 return true;
             }
         }
@@ -153,34 +161,23 @@ parseSweepArgs(int argc, char **argv,
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--jobs" || arg == "-j") {
-            if (i + 1 >= argc)
-                fatal(arg, " expects a value");
-            opts.jobs = parseCountValue("--jobs", argv[++i]);
+            opts.jobs =
+                parseCountValue("--jobs", nextValue(arg, i, "a value"));
         } else if (arg.rfind("--jobs=", 0) == 0) {
             opts.jobs = parseCountValue("--jobs", arg.substr(7));
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
             opts.jobs = parseCountValue("--jobs", arg.substr(2));
         } else if (arg == "--prune") {
-            if (i + 1 >= argc)
-                fatal(arg, " expects a fraction in (0, 1]");
-            opts.prune = parsePruneValue(argv[++i]);
+            opts.prune =
+                parsePruneValue(nextValue(arg, i, "a fraction in (0, 1]"));
         } else if (arg.rfind("--prune=", 0) == 0) {
             opts.prune = parsePruneValue(arg.substr(8));
-        } else if (arg == "--pnr-chains") {
-            if (i + 1 >= argc)
-                fatal(arg, " expects a value");
-            opts.pnrChains = parseCountValue("--pnr-chains", argv[++i]);
-        } else if (arg.rfind("--pnr-chains=", 0) == 0) {
-            opts.pnrChains =
-                parseCountValue("--pnr-chains", arg.substr(13));
         } else if (arg == "--stall-report") {
             opts.stallReport = true;
         } else if (arg == "--trace-out") {
-            if (i + 1 >= argc)
-                fatal(arg, " expects a directory");
-            opts.traceDir = argv[++i];
+            opts.traceDir = nextValue(arg, i, "a directory");
         } else if (arg.rfind("--trace-out=", 0) == 0) {
-            opts.traceDir = arg.substr(12);
+            opts.traceDir = inlineValue("--trace-out", arg, "a directory");
         } else if (arg == "--verify") {
             opts.verify = true;
         } else if (arg == "--no-verify") {
@@ -587,15 +584,10 @@ compileAll(SweepRunner &runner, const std::vector<CompileSpec> &specs)
     std::vector<std::function<CompiledWorkload()>> tasks;
     tasks.reserve(specs.size());
     bool verify = runner.options().verify;
-    int pnr_chains = runner.options().pnrChains;
     for (const CompileSpec &spec : specs) {
-        tasks.push_back([&spec, verify, pnr_chains]() {
+        tasks.push_back([&spec, verify]() {
             CompileOptions options = spec.options;
             options.verify = options.verify && verify;
-            // Specs that pin their own chain count (pnrChains != 0)
-            // keep it; the sentinel 0 inherits the runner's CLI.
-            if (options.pnrChains == 0)
-                options.pnrChains = pnr_chains;
             return compileWorkload(spec.name, spec.topo, options);
         });
     }

@@ -73,12 +73,6 @@ struct SweepOptions
      *  predictions instead of measurements (PointResult::pruned).
      *  1.0 (the default) simulates everything. */
     double prune = 1.0;
-    /** Portfolio-placer chains per compilation (`--pnr-chains`).
-     *  1 (the default) is the historical single-seed placer; larger
-     *  values run that many independent annealing chains with
-     *  dominated-chain early kill (compiler/placement.h). Applied by
-     *  compileAll() to specs that don't pin their own chain count. */
-    int pnrChains = 1;
 
     /** Any observability feature requested? */
     bool
@@ -95,8 +89,8 @@ int defaultJobs();
 
 /**
  * `text` as a whole decimal integer in [min, max]; otherwise fatal()
- * naming `opt`. The check behind --jobs and --pnr-chains, exported
- * for benches with integer options of their own.
+ * naming `opt`. The check behind --jobs, exported for benches with
+ * integer options of their own.
  */
 long long parseIntArg(const std::string &opt, const std::string &text,
                       long long min,
@@ -114,12 +108,12 @@ struct ValueOption
 /**
  * Parse --jobs N / --jobs=N / -j N / -jN, --prune FRAC /
  * --prune=FRAC (a fraction in (0, 1]; <= 0 or > 1 is fatal),
- * --pnr-chains N / --pnr-chains=N (< 1 is fatal), --stall-report,
- * --trace-out DIR / --trace-out=DIR, --verify / --no-verify, and the
- * bench's own `extraOptions`. --help / -h prints the usage message
- * and exits 0. Any other argument, option or positional, is fatal()
- * with the usage message — a typo like `--job 8` or a bare `4` meant
- * as `-j 4` must not silently run at the default job count.
+ * --stall-report, --trace-out DIR / --trace-out=DIR, --verify /
+ * --no-verify, and the bench's own `extraOptions`. An option's
+ * missing or empty value is fatal. --help / -h prints the usage
+ * message and exits 0. Any other argument, option or positional, is
+ * fatal() with the usage message — a typo like `--job 8` or a bare
+ * `4` meant as `-j 4` must not silently run at the default job count.
  */
 SweepOptions
 parseSweepArgs(int argc, char **argv,

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
 
 #include "common/log.h"
-#include "sim/trace.h"
 
 namespace nupea
 {
@@ -46,8 +44,7 @@ namespace
 
 constexpr int kNumFuClasses = 4;
 
-/** The historical annealing temperature schedule endpoints. Chain 0
- *  always uses kTBegin; later portfolio chains perturb their start. */
+/** The annealing temperature schedule's endpoints. */
 constexpr double kTBegin = 12.0;
 constexpr double kTEnd = 0.05;
 
@@ -58,23 +55,9 @@ fuIndex(FuClass fu)
 }
 
 /**
- * Derive chain k's RNG seed from the base seed (splitmix64 finalizer
- * over a golden-ratio stride). Chain 0 keeps the base seed verbatim
- * so its stream is the historical single-seed placer's.
- */
-std::uint64_t
-mixChainSeed(std::uint64_t base, std::uint64_t chain)
-{
-    std::uint64_t z = base + 0x9E3779B97F4A7C15ull * chain;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
-/**
- * Read-only lookups for one placeGraph call, shared by its chains.
- * The annealer's cost and legality checks read these instead of the
- * graph's node records and the topology's per-tile queries.
+ * Read-only lookups for one placeGraph call. The annealer's cost and
+ * legality checks read these instead of the graph's node records and
+ * the topology's per-tile queries.
  */
 struct PlacerTables
 {
@@ -154,16 +137,14 @@ struct SlotList
     }
 };
 
-/** One annealing chain: working state for initial placement and a
- *  resumable, epoch-sliced anneal with incremental cost tracking. */
+/** Working state for the initial placement and the anneal. */
 class PlacerState
 {
   public:
     PlacerState(const Graph &graph, const Topology &topo,
-                const PlacerOptions &options, const PlacerTables &tables,
-                std::uint64_t seed, double t_begin, double p_local)
+                const PlacerOptions &options, const PlacerTables &tables)
         : graph_(graph), topo_(topo), options_(options), tables_(tables),
-          rng_(seed), tBegin_(t_begin), pLocal_(p_local),
+          rng_(options.seed),
           schedTotal_(static_cast<std::uint64_t>(
                           options.iterationsPerNode) *
                       graph.numNodes()),
@@ -171,26 +152,9 @@ class PlacerState
           occupants_(static_cast<std::size_t>(topo.numTiles()))
     {}
 
-    const Placement
-    placement() const
-    {
-        Placement p;
-        p.pos = pos_;
-        return p;
-    }
-
-    const std::vector<Coord> &positions() const { return pos_; }
-    double cost() const { return cost_; }
+    Placement placement() const { return Placement{pos_}; }
+    std::uint64_t moves() const { return schedTotal_; }
     std::uint64_t accepted() const { return accepted_; }
-    std::uint64_t moveIndex() const { return moveIndex_; }
-
-    /** Temperature the next move will anneal at. Moves past the
-     *  chain's own schedule (reclaimed budget) run fully quenched. */
-    double
-    currentTemp() const
-    {
-        return tempAt(moveIndex_);
-    }
 
     double
     nodeMemCost(NodeId id, Coord tile) const
@@ -260,32 +224,7 @@ class PlacerState
     }
 
     void initialPlace();
-    void annealMoves(std::uint64_t count);
-
-    /** Seed the incremental cost tracker from a full recompute;
-     *  call once after initialPlace(). */
-    void
-    initCost()
-    {
-        cost_ = fullCost();
-    }
-
-    /**
-     * Drift assertion (anneal end): the incremental cost bookkeeping
-     * must match a full recompute. Catches silent divergence between
-     * localCost() deltas and the placementCost() model.
-     */
-    void
-    assertCostInSync() const
-    {
-        double full = fullCost();
-        double tol = 1e-6 * std::max(1.0, std::abs(full));
-        NUPEA_ASSERT(std::abs(cost_ - full) <= tol,
-                     "annealer cost drift: incremental ", cost_,
-                     " vs full recompute ", full);
-    }
-
-    Rng &rng() { return rng_; }
+    void anneal();
 
   private:
     std::size_t
@@ -304,12 +243,9 @@ class PlacerState
     double
     tempAt(std::uint64_t i) const
     {
-        if (i >= schedTotal_)
-            return kTEnd;
-        return tBegin_ *
-               std::pow(kTEnd / tBegin_,
-                        static_cast<double>(i) /
-                            static_cast<double>(schedTotal_));
+        return kTBegin * std::pow(kTEnd / kTBegin,
+                                  static_cast<double>(i) /
+                                      static_cast<double>(schedTotal_));
     }
 
     /** Full objective of the current positions (same model as the
@@ -372,12 +308,8 @@ class PlacerState
     const PlacerOptions &options_;
     const PlacerTables &tables_;
     Rng rng_;
-    double tBegin_;             ///< chain's schedule start temperature
-    double pLocal_;             ///< short-range move probability
-    std::uint64_t schedTotal_;  ///< chain's own annealing schedule
-    std::uint64_t moveIndex_ = 0;
+    std::uint64_t schedTotal_; ///< moves in the annealing schedule
     std::uint64_t accepted_ = 0;
-    double cost_ = 0.0; ///< incremental objective (see initCost)
     std::vector<Coord> pos_;
     /** occupants_[tile][fuClass] = node list. */
     std::vector<std::array<SlotList, kNumFuClasses>> occupants_;
@@ -474,35 +406,18 @@ PlacerState::initialPlace()
 }
 
 void
-PlacerState::annealMoves(std::uint64_t count)
+PlacerState::anneal()
 {
     const std::size_t n = graph_.numNodes();
-    if (n == 0)
-        return;
-
-    const std::uint64_t end = moveIndex_ + count;
-    for (; moveIndex_ < end; ++moveIndex_) {
+    double cost = fullCost(); // tracked incrementally below
+    for (std::uint64_t i = 0; i < schedTotal_; ++i) {
         NodeId a = static_cast<NodeId>(rng_.below(n));
         FuClass fu = tables_.fu[a];
         Coord from = pos_[a];
-        Coord to;
-        // Diversified chains mix in short-range moves. The gate
-        // short-circuits before drawing, so an unperturbed chain
-        // (pLocal == 0: chain 0 and every chains=1 run) consumes
-        // exactly the historical RNG stream.
-        if (pLocal_ > 0.0 && rng_.chance(pLocal_)) {
-            to = Coord{from.row +
-                           static_cast<std::int32_t>(rng_.below(5)) - 2,
-                       from.col +
-                           static_cast<std::int32_t>(rng_.below(5)) - 2};
-            if (!topo_.inBounds(to))
-                continue;
-        } else {
-            to = Coord{static_cast<std::int32_t>(rng_.below(
-                           static_cast<std::uint64_t>(topo_.rows()))),
-                       static_cast<std::int32_t>(rng_.below(
-                           static_cast<std::uint64_t>(topo_.cols())))};
-        }
+        Coord to{static_cast<std::int32_t>(rng_.below(
+                     static_cast<std::uint64_t>(topo_.rows()))),
+                 static_cast<std::int32_t>(rng_.below(
+                     static_cast<std::uint64_t>(topo_.cols())))};
         if (to == from)
             continue;
         if (tables_.slots[tileOf(to)].forClass(fu) == 0)
@@ -528,7 +443,7 @@ PlacerState::annealMoves(std::uint64_t count)
         double delta = after - before;
         // The temperature (a std::pow) matters only uphill.
         if (delta > 0 &&
-            rng_.uniform() >= std::exp(-delta / tempAt(moveIndex_))) {
+            rng_.uniform() >= std::exp(-delta / tempAt(i))) {
             // Revert.
             remove(a);
             if (b != kInvalidId)
@@ -540,11 +455,19 @@ PlacerState::annealMoves(std::uint64_t count)
             // localCost covers exactly the edges a move can change
             // (a-b duplicates subtracted), so its delta equals the
             // full-objective delta and the incremental sum tracks
-            // placementCost() — assertCostInSync() enforces this.
-            cost_ += delta;
+            // placementCost(), as the drift assertion below checks.
+            cost += delta;
             ++accepted_;
         }
     }
+
+    // Drift assertion: the incremental cost must match a full
+    // recompute, or localCost() has diverged from the objective.
+    double full = fullCost();
+    NUPEA_ASSERT(std::abs(cost - full) <=
+                     1e-6 * std::max(1.0, std::abs(full)),
+                 "annealer cost drift: incremental ", cost,
+                 " vs full recompute ", full);
 }
 
 } // namespace
@@ -607,28 +530,14 @@ placementCost(const Graph &graph, const Topology &topo,
     return cost;
 }
 
-namespace
-{
-
-/** One chain plus the driver's barrier-side bookkeeping. */
-struct ChainRun
-{
-    std::unique_ptr<PlacerState> state;
-    std::uint64_t seed = 0;
-    std::uint64_t scheduled = 0; ///< total moves this chain may run
-    std::uint64_t executed = 0;
-    double bestCost = 0.0;      ///< best epoch-boundary cost
-    std::vector<Coord> bestPos; ///< snapshot at bestCost
-    bool alive = true;
-    int killedAtEpoch = -1;
-};
-
-} // namespace
-
 Placement
 placeGraph(const Graph &graph, const Topology &topo,
-           const PlacerOptions &options, PortfolioStats *stats)
+           const PlacerOptions &options, PlacerStats *stats)
 {
+    if (options.portfolio.chains != 1)
+        fatal("PlacerOptions::portfolio.chains must be 1 (one anneal), "
+              "got ", options.portfolio.chains);
+
     // Fail fast when the graph cannot fit.
     for (FuClass fu : {FuClass::Arith, FuClass::Control, FuClass::Mem,
                        FuClass::XData}) {
@@ -642,232 +551,17 @@ placeGraph(const Graph &graph, const Topology &topo,
     }
 
     const PlacerTables tables(graph, topo, options);
-    const PortfolioOptions &pf = options.portfolio;
-    const int chains = std::max(1, pf.chains);
-    const std::size_t n = graph.numNodes();
-    const std::uint64_t schedule =
-        static_cast<std::uint64_t>(options.iterationsPerNode) * n;
+    PlacerState state(graph, topo, options, tables);
+    state.initialPlace();
+    state.anneal();
 
-    if (chains == 1) {
-        // The historical single-seed placer: one unperturbed chain,
-        // final state returned (not the best snapshot), bit-for-bit
-        // identical RNG stream.
-        PlacerState state(graph, topo, options, tables, options.seed,
-                          kTBegin, /*p_local=*/0.0);
-        state.initialPlace();
-        state.initCost();
-        state.annealMoves(schedule);
-        state.assertCostInSync();
-
-        Placement result = state.placement();
-        std::string why;
-        if (!placementLegal(graph, topo, result, &why))
-            panic("placer produced illegal placement: ", why);
-        if (stats) {
-            stats->chains.assign(1, PlacerChainStats{});
-            PlacerChainStats &cs = stats->chains[0];
-            cs.seed = options.seed;
-            cs.moves = state.moveIndex();
-            cs.accepted = state.accepted();
-            cs.finalCost = state.cost();
-            cs.bestCost = state.cost();
-            cs.winner = true;
-            stats->epochs = 0;
-            stats->winnerChain = 0;
-            stats->winnerCost =
-                placementCost(graph, topo, result, options);
-        }
-        return result;
-    }
-
-    // Portfolio mode. Each chain's segment is a pure function of its
-    // seed and move schedule, and every barrier decision below is a
-    // function of those per-chain results — so the chosen placement
-    // is a pure function of the options.
-    const std::uint64_t epoch_len = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::max(1, pf.epochMovesPerNode)) *
-               n);
-    const std::uint64_t max_budget = std::max(
-        schedule, static_cast<std::uint64_t>(
-                      kMaxChainBudgetFactor * static_cast<double>(schedule)));
-
-    std::vector<ChainRun> runs(static_cast<std::size_t>(chains));
-    for (int k = 0; k < chains; ++k) {
-        ChainRun &run = runs[static_cast<std::size_t>(k)];
-        std::uint64_t seed = options.seed;
-        double t_begin = kTBegin;
-        double p_local = 0.0;
-        if (k > 0) {
-            seed = mixChainSeed(options.seed,
-                                static_cast<std::uint64_t>(k));
-            // Chain-indexed perturbations: start temperature in
-            // [0.6, 1.5] x the default, short-range move mix up to
-            // 45%. Chain 0 stays the reference schedule.
-            std::uint64_t bits = mixChainSeed(seed, 0x70F0ull);
-            double u1 = static_cast<double>((bits >> 11) & 0x3FFFFF) /
-                        static_cast<double>(0x400000);
-            double u2 = static_cast<double>((bits >> 33) & 0x3FFFFF) /
-                        static_cast<double>(0x400000);
-            t_begin = kTBegin * (0.6 + 0.9 * u1);
-            p_local = 0.45 * u2;
-        }
-        run.seed = seed;
-        run.scheduled = schedule;
-        run.state = std::make_unique<PlacerState>(
-            graph, topo, options, tables, seed, t_begin, p_local);
-    }
-
-    // Epoch 0: initial placements + cost seeding.
-    for (int k = 0; k < chains; ++k) {
-        ChainRun &run = runs[static_cast<std::size_t>(k)];
-        run.state->initialPlace();
-        run.state->initCost();
-        run.bestCost = run.state->cost();
-        run.bestPos = run.state->positions();
-        if (pf.trace) {
-            pf.trace->onPlacerEpoch(k, 0, 0, run.state->currentTemp(),
-                                    run.state->cost(), run.bestCost,
-                                    /*alive=*/true);
-        }
-    }
-
-    int epoch = 0;
-    for (;;) {
-        std::vector<int> running;
-        for (int k = 0; k < chains; ++k) {
-            const ChainRun &run = runs[static_cast<std::size_t>(k)];
-            if (run.alive && run.executed < run.scheduled)
-                running.push_back(k);
-        }
-        if (running.empty())
-            break;
-        ++epoch;
-
-        // Run each live chain's segment in chain order, then snapshot
-        // its improvement for the barrier below.
-        for (int k : running) {
-            ChainRun &run = runs[static_cast<std::size_t>(k)];
-            std::uint64_t step =
-                std::min(epoch_len, run.scheduled - run.executed);
-            run.state->annealMoves(step);
-            run.executed += step;
-            double cost = run.state->cost();
-            if (cost < run.bestCost) {
-                run.bestCost = cost;
-                run.bestPos = run.state->positions();
-            }
-        }
-
-        // Kill rule: the leader (lowest best cost, lowest index on
-        // ties) is immune; any other live chain dominated beyond the
-        // margin stops here and donates its unspent budget.
-        int leader = -1;
-        for (int k = 0; k < chains; ++k) {
-            const ChainRun &run = runs[static_cast<std::size_t>(k)];
-            if (run.alive &&
-                (leader < 0 ||
-                 run.bestCost <
-                     runs[static_cast<std::size_t>(leader)].bestCost))
-                leader = k;
-        }
-        std::uint64_t reclaimed = 0;
-        double leader_best =
-            runs[static_cast<std::size_t>(leader)].bestCost;
-        for (int k = 0; k < chains; ++k) {
-            ChainRun &run = runs[static_cast<std::size_t>(k)];
-            if (!run.alive || k == leader)
-                continue;
-            if (run.bestCost > leader_best * (1.0 + pf.killMargin)) {
-                run.alive = false;
-                run.killedAtEpoch = epoch;
-                reclaimed += run.scheduled - run.executed;
-                run.scheduled = run.executed;
-            }
-        }
-
-        // Reassign reclaimed budget to survivors below the cap; the
-        // integer-division remainder is dropped (deterministically).
-        if (reclaimed > 0) {
-            std::vector<int> takers;
-            for (int k = 0; k < chains; ++k) {
-                const ChainRun &run = runs[static_cast<std::size_t>(k)];
-                if (run.alive && run.scheduled < max_budget)
-                    takers.push_back(k);
-            }
-            if (!takers.empty()) {
-                std::uint64_t share = reclaimed / takers.size();
-                for (int k : takers) {
-                    ChainRun &run = runs[static_cast<std::size_t>(k)];
-                    run.scheduled =
-                        std::min(max_budget, run.scheduled + share);
-                }
-            }
-        }
-
-        if (pf.trace) {
-            for (int k : running) {
-                const ChainRun &run = runs[static_cast<std::size_t>(k)];
-                pf.trace->onPlacerEpoch(
-                    k, epoch, run.executed, run.state->currentTemp(),
-                    run.state->cost(), run.bestCost, run.alive);
-            }
-        }
-    }
-
-    // Drift assertion for every chain that annealed (killed chains
-    // are consistent at the point they stopped).
-    for (const ChainRun &run : runs)
-        run.state->assertCostInSync();
-
-    // Winner: lowest best cost among survivors, lowest chain index
-    // (= seed order) on ties. A killed chain can never win: a kill
-    // requires best > leaderBest * (1 + margin) at some barrier, and
-    // the surviving minimum only decreases after that.
-    int winner = -1;
-    for (int k = 0; k < chains; ++k) {
-        const ChainRun &run = runs[static_cast<std::size_t>(k)];
-        if (run.alive &&
-            (winner < 0 ||
-             run.bestCost <
-                 runs[static_cast<std::size_t>(winner)].bestCost))
-            winner = k;
-    }
-    NUPEA_ASSERT(winner >= 0, "portfolio anneal killed every chain");
-
-    // Verify every surviving chain's placement, not just the winner.
-    for (int k = 0; k < chains; ++k) {
-        const ChainRun &run = runs[static_cast<std::size_t>(k)];
-        if (!run.alive)
-            continue;
-        Placement p;
-        p.pos = run.bestPos;
-        std::string why;
-        if (!placementLegal(graph, topo, p, &why)) {
-            panic("portfolio chain ", k,
-                  " produced illegal placement: ", why);
-        }
-    }
-
-    Placement result;
-    result.pos = runs[static_cast<std::size_t>(winner)].bestPos;
+    Placement result = state.placement();
+    std::string why;
+    if (!placementLegal(graph, topo, result, &why))
+        panic("placer produced illegal placement: ", why);
     if (stats) {
-        stats->chains.assign(static_cast<std::size_t>(chains),
-                             PlacerChainStats{});
-        for (int k = 0; k < chains; ++k) {
-            const ChainRun &run = runs[static_cast<std::size_t>(k)];
-            PlacerChainStats &cs =
-                stats->chains[static_cast<std::size_t>(k)];
-            cs.seed = run.seed;
-            cs.moves = run.executed;
-            cs.accepted = run.state->accepted();
-            cs.finalCost = run.state->cost();
-            cs.bestCost = run.bestCost;
-            cs.killedAtEpoch = run.killedAtEpoch;
-            cs.winner = (k == winner);
-        }
-        stats->epochs = epoch;
-        stats->winnerChain = winner;
+        stats->chains.assign(
+            1, PlacerChainStats{state.moves(), state.accepted()});
         stats->winnerCost = placementCost(graph, topo, result, options);
     }
     return result;

@@ -14,17 +14,11 @@
  *  - DomainAware:      domain preference but criticality-blind;
  *  - CriticalityAware: full effcc heuristic.
  *
- * The annealer is a *portfolio*: K independent chains (distinct
- * seeds; chains after the first with perturbed temperature schedules
- * and move mixes) advance in fixed move-count epochs, one after
- * another on the calling thread. At each epoch barrier, chains whose
- * best-so-far cost is dominated beyond a margin are killed and their
- * unspent move budget is reassigned to the survivors (capped at
- * kMaxChainBudgetFactor x the single-chain schedule). The winner is
- * picked deterministically (lowest best cost, then lowest chain
- * index — i.e. seed order), so the chosen placement is a pure
- * function of the options. chains=1 reproduces the historical
- * single-seed placer bit-for-bit.
+ * The annealer is one simulated-annealing run from one seed: the
+ * initial placement above, then iterationsPerNode x nodes random
+ * relocate-or-swap moves on a geometric temperature schedule. The
+ * final state is returned, so the placement is a pure function of
+ * the options.
  */
 
 #ifndef NUPEA_COMPILER_PLACEMENT_H
@@ -40,8 +34,6 @@
 
 namespace nupea
 {
-
-class TraceSink; // sim/trace.h
 
 /** Per-node tile assignment. */
 struct Placement
@@ -66,43 +58,19 @@ enum class PlaceMode : std::uint8_t
 /** Printable mode name. */
 std::string_view placeModeName(PlaceMode mode);
 
-/** Cap on any portfolio chain's total move budget, as a multiple of
- *  the single-chain schedule: reassigned budget stops there. */
-inline constexpr double kMaxChainBudgetFactor = 1.25;
-
-/** Portfolio-annealing knobs (see the file comment). */
-struct PortfolioOptions
-{
-    /** Number of independent SA chains. 1 = the historical
-     *  single-seed placer, bit-for-bit. */
-    int chains = 1;
-    /** Moves per graph node between sync epochs (chains > 1). */
-    int epochMovesPerNode = 20;
-    /** A chain is killed at a barrier when its best cost exceeds the
-     *  leader's best by more than this relative margin. */
-    double killMargin = 0.15;
-    /** Optional per-epoch chain observability hook. Borrowed. */
-    TraceSink *trace = nullptr;
-};
-
-/** Per-chain outcome of one portfolio anneal. */
+/** Move counts of one anneal. */
 struct PlacerChainStats
 {
-    std::uint64_t seed = 0;
-    std::uint64_t moves = 0;    ///< moves actually executed
+    std::uint64_t moves = 0;    ///< moves executed
     std::uint64_t accepted = 0; ///< moves accepted (not reverted)
-    double finalCost = 0.0;     ///< cost of the chain's final state
-    double bestCost = 0.0;      ///< best epoch-boundary cost
-    int killedAtEpoch = -1;     ///< -1 when the chain survived
-    bool winner = false;
 };
 
-/** Aggregate outcome of one portfolio anneal. */
-struct PortfolioStats
+/** Outcome of one anneal. */
+struct PlacerStats
 {
+    /** Exactly one entry, the anneal's move counts (a vector because
+     *  perfbench/ iterates it). */
     std::vector<PlacerChainStats> chains;
-    int epochs = 0;
-    int winnerChain = 0;
     /** Exact placementCost() of the returned placement. */
     double winnerCost = 0.0;
 };
@@ -120,8 +88,12 @@ struct PlacerOptions
     double memWeight = 4.0;
     /** Column preference within a domain (paper Sec. 5). */
     double columnPreference = 0.1;
-    /** Multi-chain portfolio configuration. */
-    PortfolioOptions portfolio;
+    /** Kept only because perfbench/ sets `portfolio.chains = 1`: any
+     *  other value is fatal(). A benchmark change can drop it. */
+    struct
+    {
+        int chains = 1;
+    } portfolio;
 };
 
 /**
@@ -140,16 +112,13 @@ double placementCost(const Graph &graph, const Topology &topo,
 /**
  * Place every node of `graph` onto `topo`. The graph must fit (see
  * Topology::totalSlots); otherwise fatal(). The result is always
- * legal: every surviving chain's placement is checked against the
- * fabric constraints (and a killed chain can never win — see
- * placement.cc). With `options.portfolio.chains == 1` this is the
- * historical single-seed anneal, bit-for-bit; with more chains the
- * best epoch-boundary snapshot of the deterministic winner is
- * returned. `stats`, when given, receives per-chain outcomes.
+ * legal (checked before it is returned). `stats`, when given,
+ * receives the anneal's move counts and the returned placement's
+ * cost.
  */
 Placement placeGraph(const Graph &graph, const Topology &topo,
                      const PlacerOptions &options,
-                     PortfolioStats *stats = nullptr);
+                     PlacerStats *stats = nullptr);
 
 /**
  * The annealing objective's criticality weight for a memory node

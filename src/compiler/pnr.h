@@ -36,9 +36,8 @@ struct PnrResult
     RouteResult route;
     TimingResult timing;
     CriticalityStats crit;
-    /** Per-chain annealing outcomes (one chain unless the placer ran
-     *  a portfolio; see PlacerOptions::portfolio). */
-    PortfolioStats placerStats;
+    /** The anneal's move counts and placement cost. */
+    PlacerStats placerStats;
 };
 
 /**

@@ -251,30 +251,4 @@ validatePerfModel(double predicted_cycles, double measured_cycles,
     return r;
 }
 
-std::string
-portfolioSummary(const PortfolioStats &stats)
-{
-    std::ostringstream os;
-    os << "portfolio anneal: " << stats.chains.size() << " chain"
-       << (stats.chains.size() == 1 ? "" : "s") << ", "
-       << stats.epochs << " epoch" << (stats.epochs == 1 ? "" : "s")
-       << ", winner chain " << stats.winnerChain
-       << " cost=" << stats.winnerCost << "\n";
-    for (std::size_t k = 0; k < stats.chains.size(); ++k) {
-        const PlacerChainStats &c = stats.chains[k];
-        double accept_rate =
-            c.moves > 0 ? static_cast<double>(c.accepted) /
-                              static_cast<double>(c.moves)
-                        : 0.0;
-        os << "  " << (c.winner ? "*" : " ") << "chain " << k
-           << ": seed=" << c.seed << " moves=" << c.moves
-           << " accept=" << accept_rate * 100.0 << "%"
-           << " final=" << c.finalCost << " best=" << c.bestCost;
-        if (c.killedAtEpoch >= 0)
-            os << " (killed @ epoch " << c.killedAtEpoch << ")";
-        os << "\n";
-    }
-    return os.str();
-}
-
 } // namespace nupea

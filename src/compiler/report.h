@@ -106,14 +106,6 @@ PerfModelReport validatePerfModel(double predicted_cycles,
                                   double predicted_energy,
                                   double measured_energy);
 
-/**
- * Human-readable table of one portfolio anneal: one row per chain
- * (seed, moves, acceptance rate, final/best cost, kill epoch) with
- * the winner starred, plus a header line with the epoch count and
- * winning cost.
- */
-std::string portfolioSummary(const PortfolioStats &stats);
-
 } // namespace nupea
 
 #endif // NUPEA_COMPILER_REPORT_H

@@ -137,28 +137,4 @@ ChromeTraceSink::onMemDeliver(Cycle fabric_cycle, std::uint32_t node)
         << "}";
 }
 
-void
-ChromeTraceSink::onPlacerEpoch(int chain, int epoch,
-                               std::uint64_t moves, double temperature,
-                               double cost, double best_cost, bool alive)
-{
-    if (!placerMetaDone_) {
-        placerMetaDone_ = true;
-        open();
-        os_ << "\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, "
-               "\"args\": {\"name\": \"placer (anneal moves)\"}}";
-    }
-    // One counter sample per chain per epoch, on the chain's own row;
-    // ts is the chain's cumulative move count so rows line up by
-    // search effort, not wall-clock.
-    open();
-    os_ << "\"name\": \"chain " << chain
-        << (alive ? "" : " (killed)")
-        << "\", \"cat\": \"placer\", \"ph\": \"C\", \"ts\": " << moves
-        << ", \"pid\": 2, \"tid\": " << chain
-        << ", \"args\": {\"epoch\": " << epoch
-        << ", \"cost\": " << cost << ", \"best\": " << best_cost
-        << ", \"temp\": " << temperature << "}}";
-}
-
 } // namespace nupea

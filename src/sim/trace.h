@@ -108,29 +108,6 @@ class TraceSink
         (void)fabric_cycle;
         (void)node;
     }
-
-    /**
-     * One portfolio-placer annealing chain reached a sync epoch
-     * (compiler/placement.h; reported from the coordinating thread,
-     * so implementations need no locking). `moves` is the chain's
-     * cumulative accepted+rejected move count, `cost` its current
-     * annealing cost and `best_cost` its best epoch-boundary cost so
-     * far; `alive` is false on the event that kills a dominated
-     * chain. Chains=1 compilations never emit these.
-     */
-    virtual void
-    onPlacerEpoch(int chain, int epoch, std::uint64_t moves,
-                  double temperature, double cost, double best_cost,
-                  bool alive)
-    {
-        (void)chain;
-        (void)epoch;
-        (void)moves;
-        (void)temperature;
-        (void)cost;
-        (void)best_cost;
-        (void)alive;
-    }
 };
 
 /**
@@ -177,14 +154,8 @@ class ChromeTraceSink final : public TraceSink
                     std::uint32_t node, Addr addr, bool is_store,
                     bool hit) override;
     void onMemDeliver(Cycle fabric_cycle, std::uint32_t node) override;
-    void onPlacerEpoch(int chain, int epoch, std::uint64_t moves,
-                       double temperature, double cost,
-                       double best_cost, bool alive) override;
 
   private:
-    /** The placer process row (pid 2) is emitted lazily on the first
-     *  chain event so sim-only traces keep their historical shape. */
-    bool placerMetaDone_ = false;
     /** Begin one event object (writes the separator and "{"). */
     void open();
     Cycle sys(Cycle fabric_cycle) const;

@@ -100,9 +100,24 @@ TEST(Placement, LegalAndDeterministic)
     PlacerOptions opts;
     opts.seed = 7;
     Placement p1 = placeGraph(k.graph, topo, opts);
-    Placement p2 = placeGraph(k.graph, topo, opts);
+    PlacerStats stats;
+    Placement p2 = placeGraph(k.graph, topo, opts, &stats);
     EXPECT_TRUE(placementLegal(k.graph, topo, p1));
     EXPECT_EQ(p1.pos, p2.pos) << "same seed must give same placement";
+
+    // One anneal of the whole schedule; asking for stats does not
+    // perturb it, and the reported cost is the returned placement's.
+    ASSERT_EQ(stats.chains.size(), 1u);
+    EXPECT_EQ(stats.chains[0].moves,
+              static_cast<std::uint64_t>(opts.iterationsPerNode) *
+                  k.graph.numNodes());
+    EXPECT_LE(stats.chains[0].accepted, stats.chains[0].moves);
+    EXPECT_EQ(stats.winnerCost, placementCost(k.graph, topo, p2, opts));
+
+    // portfolio.chains accepts only 1: any other count is refused,
+    // not silently run as one anneal.
+    opts.portfolio.chains = 2;
+    EXPECT_THROW(placeGraph(k.graph, topo, opts), FatalError);
 }
 
 TEST(Placement, MemoryOpsLandOnLsTiles)
@@ -464,15 +479,6 @@ TEST(Pnr, CongestedOutcomesPinned)
         EXPECT_EQ(r.placerStats.chains[0].accepted, pin.accepted);
         EXPECT_EQ(r.placerStats.winnerCost, pin.winnerCost);
     }
-
-    // The portfolio placer on the degree-7 graph.
-    Graph g = wl->build(7);
-    analyzeCriticality(g);
-    PlacerOptions popts = opts.place;
-    popts.portfolio.chains = 4;
-    PortfolioStats stats;
-    placeGraph(g, topo, popts, &stats);
-    EXPECT_EQ(stats.winnerCost, 1571.5999999999995);
 }
 
 } // namespace

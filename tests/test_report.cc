@@ -133,42 +133,5 @@ TEST(Report, PerfModelReportComputesRelativeErrors)
     EXPECT_DOUBLE_EQ(z.energyError, 0.0);
 }
 
-TEST(Report, PortfolioSummaryListsChains)
-{
-    PortfolioStats stats;
-    stats.epochs = 3;
-    stats.winnerChain = 1;
-    stats.winnerCost = 42.5;
-    PlacerChainStats loser;
-    loser.seed = 7;
-    loser.moves = 200;
-    loser.accepted = 50;
-    loser.finalCost = 99.0;
-    loser.bestCost = 60.0;
-    loser.killedAtEpoch = 2;
-    PlacerChainStats winner;
-    winner.seed = 11;
-    winner.moves = 400;
-    winner.accepted = 100;
-    winner.finalCost = 43.0;
-    winner.bestCost = 42.5;
-    winner.winner = true;
-    stats.chains = {loser, winner};
-
-    std::string text = portfolioSummary(stats);
-    EXPECT_NE(text.find("portfolio anneal: 2 chains, 3 epochs, "
-                        "winner chain 1 cost=42.5"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("*chain 1: seed=11"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("(killed @ epoch 2)"), std::string::npos)
-        << text;
-    // Accept rates come from the per-chain move counts: 25% and 25%.
-    EXPECT_NE(text.find("accept=25%"), std::string::npos) << text;
-    // Only the winner is starred.
-    EXPECT_EQ(text.find("*chain 0"), std::string::npos) << text;
-}
-
 } // namespace
 } // namespace nupea

@@ -407,42 +407,17 @@ TEST(SweepRunnerTest, LaneBatchedSweepMatchesScalar)
     }
 }
 
-TEST(SweepRunnerTest, PnrChainsResolution)
-{
-    const char *argv1[] = {"bench", "--pnr-chains", "4"};
-    EXPECT_EQ(parseSweepArgs(3, const_cast<char **>(argv1)).pnrChains,
-              4);
-    const char *argv2[] = {"bench", "--pnr-chains=2"};
-    EXPECT_EQ(parseSweepArgs(2, const_cast<char **>(argv2)).pnrChains,
-              2);
-    // Default: the single-seed placer.
-    const char *argv3[] = {"bench"};
-    EXPECT_EQ(parseSweepArgs(1, const_cast<char **>(argv3)).pnrChains,
-              1);
-    // Zero, negative, and garbage counts are refused loudly.
-    const char *argv4[] = {"bench", "--pnr-chains", "0"};
-    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv4)),
-                 FatalError);
-    const char *argv5[] = {"bench", "--pnr-chains=-3"};
-    EXPECT_THROW(parseSweepArgs(2, const_cast<char **>(argv5)),
-                 FatalError);
-    const char *argv6[] = {"bench", "--pnr-chains", "many"};
-    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv6)),
-                 FatalError);
-    const char *argv7[] = {"bench", "--pnr-chains"};
-    EXPECT_THROW(parseSweepArgs(2, const_cast<char **>(argv7)),
-                 FatalError);
-}
-
 TEST(SweepRunnerTest, PnrEpochResolution)
 {
-    // The portfolio epoch length is the placer's fixed default (tests
-    // set PortfolioOptions::epochMovesPerNode directly); every
-    // spelling of `--pnr-epoch` is an unknown argument.
+    // The placer is one annealing run with no portfolio knobs: every
+    // spelling of `--pnr-epoch` and `--pnr-chains` is an unknown
+    // argument, even a chain count of 1.
     const char *argv1[] = {"bench", "--pnr-epoch", "10"};
     const char *argv2[] = {"bench", "--pnr-epoch=5"};
-    const std::pair<int, const char **> cases[] = {{3, argv1},
-                                                   {2, argv2}};
+    const char *argv3[] = {"bench", "--pnr-chains", "4"};
+    const char *argv4[] = {"bench", "--pnr-chains=1"};
+    const std::pair<int, const char **> cases[] = {
+        {3, argv1}, {2, argv2}, {3, argv3}, {2, argv4}};
     for (const auto &[argc, argv] : cases) {
         try {
             parseSweepArgs(argc, const_cast<char **>(argv));
@@ -660,13 +635,29 @@ TEST(SweepRunnerTest, ExtraOptionsAreAccepted)
     parseSweepArgs(4, const_cast<char **>(argv4), declared);
     EXPECT_EQ(out, "c.json");
 
-    // A declared option without its value is fatal...
+    // A declared option, or --trace-out, without its value or with
+    // an empty one is fatal...
     const char *argv5[] = {"bench", "--out"};
-    EXPECT_THROW(parseSweepArgs(2, const_cast<char **>(argv5), declared),
-                 FatalError);
+    const char *argv6[] = {"bench", "--out="};
+    const char *argv7[] = {"bench", "--out", ""};
+    const char *argv8[] = {"bench", "--trace-out="};
+    const char *argv9[] = {"bench", "--trace-out", ""};
+    const std::pair<int, const char **> missing[] = {
+        {2, argv5}, {2, argv6}, {3, argv7}, {2, argv8}, {3, argv9}};
+    for (const auto &[argc, argv] : missing) {
+        try {
+            parseSweepArgs(argc, const_cast<char **>(argv), declared);
+            ADD_FAILURE() << "accepted " << argv[1] << " with argc "
+                          << argc;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(" expects a "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     // ...and so is any undeclared one.
-    const char *argv6[] = {"bench", "--out", "x.json"};
-    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv6)),
+    const char *argv10[] = {"bench", "--out", "x.json"};
+    EXPECT_THROW(parseSweepArgs(3, const_cast<char **>(argv10)),
                  FatalError);
 }
 
