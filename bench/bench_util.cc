@@ -33,8 +33,7 @@ verifyOrDie(const CompiledWorkload &cw)
     }
     if (report.hasErrors()) {
         fatal(cw.workload->name(), " failed static verification (",
-              report.errorCount(), " errors; pass --no-verify to run "
-              "anyway):\n", report.renderText());
+              report.errorCount(), " errors):\n", report.renderText());
     }
 }
 
@@ -73,8 +72,7 @@ compileWorkload(const std::string &name, const Topology &topo,
                 cw.graph = std::move(g);
                 cw.pnr = std::move(pnr);
                 cw.parallelism = p;
-                if (options.verify)
-                    verifyOrDie(cw);
+                verifyOrDie(cw);
                 return cw;
             }
         }
@@ -88,8 +86,7 @@ compileWorkload(const std::string &name, const Topology &topo,
     cw.graph = std::move(auto_par.graph);
     cw.pnr = std::move(auto_par.pnr);
     cw.parallelism = auto_par.parallelism;
-    if (options.verify)
-        verifyOrDie(cw);
+    verifyOrDie(cw);
     return cw;
 }
 

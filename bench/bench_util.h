@@ -53,19 +53,14 @@ struct CompileOptions
      * -1 forces the automatic ramp (paper Sec. 6).
      */
     int parallelism = 0;
-    /**
-     * Run the static verifier (verify/verify.h) over the graph and
-     * PnR output after compilation: fatal() on any error diagnostic,
-     * warn() on warnings. On by default; `--no-verify` in the sweep
-     * harness clears it.
-     */
-    bool verify = true;
 };
 
 /**
  * Compile `name` for `topo`. Uses the workload's preferred
  * parallelism (backing off if PnR fails) or the automatic ramp.
- * fatal() if nothing fits.
+ * fatal() if nothing fits. The static verifier (verify/verify.h)
+ * then runs over the graph and PnR output: fatal() on any error
+ * diagnostic, warn() on warnings.
  */
 CompiledWorkload compileWorkload(const std::string &name,
                                  const Topology &topo,

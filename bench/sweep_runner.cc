@@ -80,8 +80,6 @@ printUsage(std::FILE *to, const char *prog,
                  "tables after the sweep\n"
                  "  --trace-out DIR         one Chrome trace_event JSON "
                  "per point into DIR\n"
-                 "  --verify | --no-verify  static verifier on every "
-                 "compilation (default on)\n"
                  "  --help | -h             this message\n",
                  prog);
     for (const ValueOption &opt : extraOptions)
@@ -178,10 +176,6 @@ parseSweepArgs(int argc, char **argv,
             opts.traceDir = nextValue(arg, i, "a directory");
         } else if (arg.rfind("--trace-out=", 0) == 0) {
             opts.traceDir = inlineValue("--trace-out", arg, "a directory");
-        } else if (arg == "--verify") {
-            opts.verify = true;
-        } else if (arg == "--no-verify") {
-            opts.verify = false;
         } else if (arg == "--help" || arg == "-h") {
             printUsage(stdout, argv[0], extraOptions);
             std::exit(0);
@@ -583,12 +577,9 @@ compileAll(SweepRunner &runner, const std::vector<CompileSpec> &specs)
 {
     std::vector<std::function<CompiledWorkload()>> tasks;
     tasks.reserve(specs.size());
-    bool verify = runner.options().verify;
     for (const CompileSpec &spec : specs) {
-        tasks.push_back([&spec, verify]() {
-            CompileOptions options = spec.options;
-            options.verify = options.verify && verify;
-            return compileWorkload(spec.name, spec.topo, options);
+        tasks.push_back([&spec]() {
+            return compileWorkload(spec.name, spec.topo, spec.options);
         });
     }
     return runner.map(std::move(tasks));

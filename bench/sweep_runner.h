@@ -63,9 +63,6 @@ struct SweepOptions
      *  into this directory (implies stall attribution, so the traces
      *  carry stall intervals). */
     std::string traceDir;
-    /** Run the static verifier on every compilation (`--verify`, the
-     *  default; `--no-verify` clears it). */
-    bool verify = true;
     /** Statically score every point with the performance model
      *  (analysis/perf_model.h) and cycle-simulate only the best
      *  `prune` fraction, Pareto-selected on (predicted cycles,
@@ -108,12 +105,12 @@ struct ValueOption
 /**
  * Parse --jobs N / --jobs=N / -j N / -jN, --prune FRAC /
  * --prune=FRAC (a fraction in (0, 1]; <= 0 or > 1 is fatal),
- * --stall-report, --trace-out DIR / --trace-out=DIR, --verify /
- * --no-verify, and the bench's own `extraOptions`. An option's
- * missing or empty value is fatal. --help / -h prints the usage
- * message and exits 0. Any other argument, option or positional, is
- * fatal() with the usage message — a typo like `--job 8` or a bare
- * `4` meant as `-j 4` must not silently run at the default job count.
+ * --stall-report, --trace-out DIR / --trace-out=DIR, and the bench's
+ * own `extraOptions`. An option's missing or empty value is fatal.
+ * --help / -h prints the usage message and exits 0. Any other
+ * argument, option or positional, is fatal() with the usage message
+ * — a typo like `--job 8` or a bare `4` meant as `-j 4` must not
+ * silently run at the default job count.
  */
 SweepOptions
 parseSweepArgs(int argc, char **argv,

@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "api/nupea.h"
 
@@ -49,8 +50,11 @@ main(int argc, char **argv)
         Machine machine(graph, pnr.placement, topo, cfg, store);
         RunResult r = machine.run();
         std::string why;
-        if (!r.clean || !wl->verify(store, &why))
-            warn("problem: ", r.problem, " ", why);
+        if (!r.finished || !r.clean || !wl->verify(store, &why)) {
+            std::fprintf(stderr, "run problem: %s%s\n",
+                         r.problem.c_str(), why.c_str());
+            std::exit(1);
+        }
         return r;
     };
 

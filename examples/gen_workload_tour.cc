@@ -21,8 +21,9 @@
 
 using namespace nupea;
 
-/** Compile + simulate one generated spec and print its vitals. */
-static void
+/** Compile + simulate one generated spec and print its vitals;
+ *  false on a PnR failure, an unclean run or a wrong answer. */
+static bool
 tour(const std::string &name)
 {
     GeneratorSpec spec = GeneratorSpec::parse(name);
@@ -32,13 +33,12 @@ tour(const std::string &name)
     BackingStore store(MemSysConfig{}.memBytes);
     wl->init(store);
     Graph graph = wl->build(1);
-    graph.validateOrDie();
 
     Topology topo = Topology::makeMonaco(12, 12);
     PnrResult pnr = placeAndRoute(graph, topo);
     if (!pnr.success) {
         std::printf("  PnR failed: %s\n", pnr.failureReason.c_str());
-        return;
+        return false;
     }
 
     MachineConfig cfg;
@@ -47,36 +47,36 @@ tour(const std::string &name)
     Machine machine(graph, pnr.placement, topo, cfg, store);
     RunResult run = machine.run();
 
-    std::string why;
+    std::string why = run.problem;
     bool ok = run.finished && run.clean && wl->verify(store, &why);
     std::printf("  %4zu nodes  %6llu cycles  verified=%s\n",
                 graph.numNodes(),
                 static_cast<unsigned long long>(run.fabricCycles),
                 ok ? "yes" : why.c_str());
+    return ok;
 }
 
 int
 main(int argc, char **argv)
 {
-    if (argc > 1) {
-        tour(argv[1]);
-        return 0;
-    }
+    if (argc > 1)
+        return tour(argv[1]) ? 0 : 1;
 
+    bool ok = true;
     std::printf("One stencil family, four boundary modes:\n");
     for (const char *mode : {"copy", "clamp", "wrap", "zero"})
-        tour(std::string("gen:stencil3x3:") + mode);
+        ok &= tour(std::string("gen:stencil3x3:") + mode);
 
     std::printf("\nGemm tiling, same 8x8x8 problem:\n");
     for (const char *t : {"", ":t2x2x2", ":t4x4x4", ":t8x8x8"})
-        tour(std::string("gen:gemm8x8x8") + t);
+        ok &= tour(std::string("gen:gemm8x8x8") + t);
 
     std::printf("\nReduction trees, 16 leaves each way:\n");
     for (const char *shape : {"gen:reduce2x4", "gen:reduce4x2",
                               "gen:reduce4x2:c3:max"})
-        tour(shape);
+        ok &= tour(shape);
 
     std::printf("\nAny spec works as --workload in the benches; "
                 "grammar:\n  %s\n", generatorGrammar());
-    return 0;
+    return ok ? 0 : 1;
 }

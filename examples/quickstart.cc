@@ -31,13 +31,19 @@ main()
                             static_cast<Addr>(4 * ((i * 7 + 1) % n))));
     }
 
+    // The host reference: the same walk, done here.
+    const int steps = 200;
+    Word expected = static_cast<Word>(ring);
+    for (int i = 0; i < steps; ++i)
+        expected = store.loadWord(static_cast<Addr>(expected));
+
     // ------------------------------------------------------------
-    // 2. Express the kernel: chase the ring 200 times. The load is
-    //    on the loop-governing recurrence -> a critical load.
+    // 2. Express the kernel: chase the ring `steps` times. The load
+    //    is on the loop-governing recurrence -> a critical load.
     // ------------------------------------------------------------
     Builder b;
     auto exits = b.forLoop(
-        b.source(0), b.source(200), 1,
+        b.source(0), b.source(steps), 1,
         {b.source(static_cast<Word>(ring))},
         [&](Builder &b, Builder::Value i,
             const std::vector<Builder::Value> &carried) {
@@ -47,8 +53,7 @@ main()
         },
         "chase");
     NodeId out = b.sink(exits[0], "final");
-    Graph graph = b.takeGraph();
-    graph.validateOrDie();
+    Graph graph = b.takeGraph(); // fatal() on a malformed graph
     std::printf("built a %zu-node dataflow graph\n", graph.numNodes());
 
     // ------------------------------------------------------------
@@ -87,6 +92,14 @@ main()
                 static_cast<unsigned long long>(r.systemCycles),
                 static_cast<unsigned long long>(r.loads),
                 r.clean ? "yes" : "no");
-    std::printf("final pointer value: %d\n", r.sinks[out].last);
+    Word final_ptr = r.sinks[out].last;
+    std::printf("final pointer value: %d (host walk: %d)\n", final_ptr,
+                expected);
+    if (!r.finished || !r.clean || final_ptr != expected) {
+        std::fprintf(stderr, "run problem: %s\n",
+                     r.clean ? "final pointer differs from the host walk"
+                             : r.problem.c_str());
+        return 1;
+    }
     return 0;
 }

@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "api/nupea.h"
 
@@ -16,7 +17,8 @@ using namespace nupea;
 namespace
 {
 
-/** Run one config on a fresh memory image; returns system cycles. */
+/** Run one config on a fresh memory image; returns system cycles.
+ *  Exits 1 on an unfinished or unclean run or a wrong answer. */
 Cycle
 timeConfig(const Workload &wl, const Graph &graph, const Placement &pl,
            const Topology &topo, MemModel model, int upea_latency)
@@ -30,8 +32,11 @@ timeConfig(const Workload &wl, const Graph &graph, const Placement &pl,
     Machine machine(graph, pl, topo, cfg, store);
     RunResult r = machine.run();
     std::string why;
-    if (!r.clean || !wl.verify(store, &why))
-        warn("run problem: ", r.problem, " ", why);
+    if (!r.finished || !r.clean || !wl.verify(store, &why)) {
+        std::fprintf(stderr, "run problem: %s%s\n", r.problem.c_str(),
+                     why.c_str());
+        std::exit(1);
+    }
     return r.systemCycles;
 }
 
@@ -62,24 +67,8 @@ main()
                 pnr.crit.otherMem, pnr.crit.recurrences);
 
     // (ii) NUPEA domain placement per class.
-    std::printf("placement by NUPEA domain (D0 = fastest):\n");
-    for (Criticality c : {Criticality::Critical, Criticality::InnerLoop,
-                          Criticality::OtherMem}) {
-        std::vector<int> per_domain(
-            static_cast<std::size_t>(topo.numDomains()), 0);
-        for (NodeId id = 0; id < graph.numNodes(); ++id) {
-            if (graph.node(id).crit == c) {
-                ++per_domain[static_cast<std::size_t>(
-                    topo.domainOf(pnr.placement.of(id)))];
-            }
-        }
-        std::printf("  %-10s:", criticalityName(c).data());
-        for (int d = 0; d < topo.numDomains(); ++d) {
-            std::printf(" D%d=%d", d,
-                        per_domain[static_cast<std::size_t>(d)]);
-        }
-        std::printf("\n");
-    }
+    std::printf("placement by NUPEA domain (D0 = fastest):\n%s",
+                domainSummary(graph, topo, pnr.placement).c_str());
 
     // (iii) the Fig. 6c comparison.
     Cycle upea0 = timeConfig(*wl, graph, pnr.placement, topo,

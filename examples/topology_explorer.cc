@@ -82,20 +82,11 @@ main(int argc, char **argv)
                 compiled.pnr.timing.clockDivider,
                 compiled.pnr.route.iterations);
 
-    std::vector<int> mem_per_domain(
-        static_cast<std::size_t>(topo.numDomains()), 0);
-    for (NodeId id = 0; id < compiled.graph.numNodes(); ++id) {
-        if (opTraits(compiled.graph.node(id).op).isMemory) {
-            ++mem_per_domain[static_cast<std::size_t>(topo.domainOf(
-                compiled.pnr.placement.of(id)))];
-        }
-    }
-    std::printf("memory instructions per NUPEA domain:");
-    for (int d = 0; d < topo.numDomains(); ++d) {
-        std::printf(" D%d=%d", d,
-                    mem_per_domain[static_cast<std::size_t>(d)]);
-    }
-    std::printf("\n\nplacement map:\n%s",
+    std::printf("memory instructions per NUPEA domain:\n%s",
+                domainSummary(compiled.graph, topo,
+                              compiled.pnr.placement)
+                    .c_str());
+    std::printf("\nplacement map:\n%s",
                 placementMap(compiled.graph, topo,
                              compiled.pnr.placement)
                     .c_str());
@@ -107,8 +98,8 @@ main(int argc, char **argv)
     Machine machine(compiled.graph, compiled.pnr.placement, topo, cfg,
                     store);
     RunResult r = machine.run();
-    std::string why;
-    bool ok = r.clean && wl->verify(store, &why);
+    std::string why = r.problem;
+    bool ok = r.finished && r.clean && wl->verify(store, &why);
     std::printf("\nsimulated %llu fabric cycles = %llu system cycles "
                 "(%llu loads, %llu stores), output %s\n",
                 static_cast<unsigned long long>(r.fabricCycles),
@@ -123,5 +114,5 @@ main(int argc, char **argv)
                     it->second.mean(), it->second.min(),
                     it->second.max());
     }
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -8,12 +8,23 @@
 namespace nupea
 {
 
+namespace
+{
+
+/** perf.recurrence-bound fires when the recurrence bound exceeds
+ *  every throughput bound by this factor. */
+constexpr double kRecurrenceDominanceFactor = 4.0;
+/** perf.bank-hotspot fires when the busiest port's load exceeds the
+ *  mean active-port load by this factor. */
+constexpr double kHotspotFactor = 4.0;
+
+} // namespace
+
 DiagnosticReport
 analyzePlacementHazards(const Graph &graph, const Placement &placement,
                         const Topology &topo,
                         const ExecutionProfile &profile,
-                        const PerfPrediction &prediction,
-                        const PerfHazardOptions &options)
+                        const PerfPrediction &prediction)
 {
     DiagnosticReport report;
     const std::size_t n = graph.numNodes();
@@ -30,7 +41,7 @@ analyzePlacementHazards(const Graph &graph, const Placement &placement,
     // bound — a backpressure-limited loop is fixed with deeper
     // FIFOs, not less recurrence.
     if (b.recurrence > 0.0 && throughput > 0.0 &&
-        b.recurrence >= options.recurrenceDominanceFactor * throughput &&
+        b.recurrence >= kRecurrenceDominanceFactor * throughput &&
         b.recurrence >= b.loopBackpressure &&
         !prediction.loops.empty()) {
         const LoopIIBound &loop = prediction.loops.front();
@@ -93,7 +104,7 @@ analyzePlacementHazards(const Graph &graph, const Placement &placement,
     }
     if (active >= 2) {
         double mean = total / static_cast<double>(active);
-        if (peak >= options.hotspotFactor * mean) {
+        if (peak >= kHotspotFactor * mean) {
             report.addNode(
                 DiagId::PerfBankHotspot, graph, port_top[peak_port],
                 formatMessage("memory port ", peak_port, " carries ", peak,

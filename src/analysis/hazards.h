@@ -18,9 +18,9 @@
  *    in slower domains — the placement wasted the cheapest seats.
  *
  * All three are Warnings: the placement is legal and will simulate
- * correctly; it is just predictably slow. Thresholds default high
- * enough that the criticality-aware placer's output on the bundled
- * workloads is quiet.
+ * correctly; it is just predictably slow. The thresholds (hazards.cc)
+ * are high enough that the criticality-aware placer's output on the
+ * bundled workloads is quiet.
  */
 
 #ifndef NUPEA_ANALYSIS_HAZARDS_H
@@ -32,17 +32,6 @@
 namespace nupea
 {
 
-/** Sensitivity knobs for the hazard rules. */
-struct PerfHazardOptions
-{
-    /** perf.recurrence-bound fires when the recurrence bound exceeds
-     *  every throughput bound by this factor. */
-    double recurrenceDominanceFactor = 4.0;
-    /** perf.bank-hotspot fires when the busiest port's load exceeds
-     *  the mean active-port load by this factor. */
-    double hotspotFactor = 4.0;
-};
-
 /**
  * Derive hazard diagnostics for one placed graph from its profile and
  * static prediction (both must come from the same graph/config).
@@ -52,8 +41,7 @@ DiagnosticReport
 analyzePlacementHazards(const Graph &graph, const Placement &placement,
                         const Topology &topo,
                         const ExecutionProfile &profile,
-                        const PerfPrediction &prediction,
-                        const PerfHazardOptions &options = {});
+                        const PerfPrediction &prediction);
 
 } // namespace nupea
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/log.h"
+#include "verify/legality.h"
 
 namespace nupea
 {
@@ -472,41 +473,6 @@ PlacerState::anneal()
 
 } // namespace
 
-bool
-placementLegal(const Graph &graph, const Topology &topo,
-               const Placement &placement, std::string *why)
-{
-    if (placement.pos.size() != graph.numNodes()) {
-        if (why)
-            *why = "placement size mismatch";
-        return false;
-    }
-    std::vector<std::array<int, kNumFuClasses>> used(
-        static_cast<std::size_t>(topo.numTiles()), {0, 0, 0, 0});
-    for (NodeId id = 0; id < graph.numNodes(); ++id) {
-        Coord c = placement.pos[id];
-        if (!topo.inBounds(c)) {
-            if (why)
-                *why = formatMessage("node ", id, " off fabric");
-            return false;
-        }
-        FuClass fu = opTraits(graph.node(id).op).fu;
-        int idx = topo.tileIndex(c);
-        auto &u = used[static_cast<std::size_t>(idx)]
-                      [static_cast<std::size_t>(fuIndex(fu))];
-        ++u;
-        if (u > topo.slots(c).forClass(fu)) {
-            if (why) {
-                *why = formatMessage("tile ", c.str(),
-                                     " over capacity for FU class ",
-                                     fuIndex(fu));
-            }
-            return false;
-        }
-    }
-    return true;
-}
-
 double
 placementCost(const Graph &graph, const Topology &topo,
               const Placement &placement, const PlacerOptions &options)
@@ -556,9 +522,11 @@ placeGraph(const Graph &graph, const Topology &topo,
     state.anneal();
 
     Placement result = state.placement();
-    std::string why;
-    if (!placementLegal(graph, topo, result, &why))
-        panic("placer produced illegal placement: ", why);
+    DiagnosticReport report;
+    checkPlacement(graph, topo, result, report);
+    if (report.hasErrors())
+        panic("placer produced an illegal placement:\n",
+              report.renderText());
     if (stats) {
         stats->chains.assign(
             1, PlacerChainStats{state.moves(), state.accepted()});

@@ -83,11 +83,11 @@ struct PlacerOptions
     /** Annealing moves per graph node. */
     int iterationsPerNode = 150;
     /** Weight of the total-wirelength term. */
-    double wirelenWeight = 1.0;
+    static constexpr double wirelenWeight = 1.0;
     /** Weight of the criticality-weighted memory-distance term. */
-    double memWeight = 4.0;
+    static constexpr double memWeight = 4.0;
     /** Column preference within a domain (paper Sec. 5). */
-    double columnPreference = 0.1;
+    static constexpr double columnPreference = 0.1;
     /** Kept only because perfbench/ sets `portfolio.chains = 1`: any
      *  other value is fatal(). A benchmark change can drop it. */
     struct
@@ -95,14 +95,6 @@ struct PlacerOptions
         int chains = 1;
     } portfolio;
 };
-
-/**
- * Check that a placement satisfies fabric constraints: every node on
- * a tile with a free slot of its FU class (memory ops on LS tiles).
- * Returns true and leaves `why` untouched when legal.
- */
-bool placementLegal(const Graph &graph, const Topology &topo,
-                    const Placement &placement, std::string *why = nullptr);
 
 /** Total cost of a placement under the given options (for tests). */
 double placementCost(const Graph &graph, const Topology &topo,
@@ -112,7 +104,8 @@ double placementCost(const Graph &graph, const Topology &topo,
 /**
  * Place every node of `graph` onto `topo`. The graph must fit (see
  * Topology::totalSlots); otherwise fatal(). The result is always
- * legal (checked before it is returned). `stats`, when given,
+ * legal: the verifier's checkPlacement() (verify/legality.h) runs on
+ * it before it is returned, and an error panics. `stats`, when given,
  * receives the anneal's move counts and the returned placement's
  * cost.
  */

@@ -19,7 +19,7 @@
 namespace nupea
 {
 
-/** Bundled knobs for one PnR run. */
+/** Bundled knobs for one PnR run; only `place` has settable fields. */
 struct PnrOptions
 {
     PlacerOptions place;

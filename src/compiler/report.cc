@@ -223,32 +223,4 @@ validateCriticalityRanks(const Graph &graph,
     return v;
 }
 
-PerfModelReport
-validatePerfModel(double predicted_cycles, double measured_cycles,
-                  double predicted_energy, double measured_energy)
-{
-    PerfModelReport r;
-    r.predictedCycles = predicted_cycles;
-    r.measuredCycles = measured_cycles;
-    r.predictedEnergy = predicted_energy;
-    r.measuredEnergy = measured_energy;
-    if (measured_cycles != 0.0)
-        r.cycleError =
-            std::abs(predicted_cycles - measured_cycles) / measured_cycles;
-    if (measured_energy != 0.0)
-        r.energyError =
-            std::abs(predicted_energy - measured_energy) / measured_energy;
-
-    std::ostringstream os;
-    os << "static performance model vs measurement:\n"
-       << "  cycles: predicted=" << predicted_cycles
-       << " measured=" << measured_cycles
-       << " error=" << r.cycleError * 100.0 << "%\n"
-       << "  energy: predicted=" << predicted_energy
-       << " measured=" << measured_energy
-       << " error=" << r.energyError * 100.0 << "%\n";
-    r.table = os.str();
-    return r;
-}
-
 } // namespace nupea

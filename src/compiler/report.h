@@ -83,29 +83,6 @@ CritRankValidation
 validateCriticalityRanks(const Graph &graph,
                          const std::vector<Distribution> &node_mem_latency);
 
-/**
- * Predicted-vs-measured comparison for the static performance model
- * (analysis/perf_model.h). Plain numbers in, so the report layer does
- * not depend on either the analysis library or the simulator.
- */
-struct PerfModelReport
-{
-    double predictedCycles = 0.0; ///< system cycles, static model
-    double measuredCycles = 0.0;  ///< system cycles, Machine
-    double predictedEnergy = 0.0; ///< total energy, static model
-    double measuredEnergy = 0.0;  ///< total energy, Machine
-    /** Relative errors |pred - meas| / meas (0 when measured is 0). */
-    double cycleError = 0.0;
-    double energyError = 0.0;
-    std::string table; ///< human-readable summary
-};
-
-/** Build a PerfModelReport from one prediction/measurement pair. */
-PerfModelReport validatePerfModel(double predicted_cycles,
-                                  double measured_cycles,
-                                  double predicted_energy,
-                                  double measured_energy);
-
 } // namespace nupea
 
 #endif // NUPEA_COMPILER_REPORT_H

@@ -34,16 +34,18 @@
 namespace nupea
 {
 
-/** Router tuning knobs. */
+/** Router constants. Nothing here is settable; the struct remains
+ *  so that PnrOptions::route and routeGraph's last argument keep
+ *  their shape. */
 struct RouterOptions
 {
-    int maxIterations = 60;
+    static constexpr int maxIterations = 60;
     /** History cost added per unit of overuse each iteration. */
-    double historyIncrement = 0.5;
+    static constexpr double historyIncrement = 0.5;
     /** Present-congestion multiplier for oversubscribed links. */
-    double presentFactor = 4.0;
+    static constexpr double presentFactor = 4.0;
     /** Delay of a producer/consumer on the same tile. */
-    double intraTileDelay = 0.3;
+    static constexpr double intraTileDelay = 0.3;
 };
 
 /** One routed multicast net: a producer's tree to its sink tiles. */

@@ -18,15 +18,17 @@
 namespace nupea
 {
 
-/** Timing model parameters (abstract wire-delay units). */
+/** Timing model constants (abstract wire-delay units). Nothing here
+ *  is settable; the struct remains so that PnrOptions::timing and
+ *  analyzeTiming's last argument keep their shape. */
 struct TimingOptions
 {
     /** Wire-delay units one system-clock period can cover. */
-    double cycleBudget = 4.0;
+    static constexpr double cycleBudget = 4.0;
     /** Fixed intra-PE logic delay added to the longest net. */
-    double peDelay = 1.0;
+    static constexpr double peDelay = 1.0;
     /** Upper bound on the divider (sanity clamp). */
-    int maxDivider = 16;
+    static constexpr int maxDivider = 16;
 };
 
 /** Result of static timing analysis. */

@@ -1,6 +1,7 @@
 #include "dfg/builder.h"
 
 #include "common/log.h"
+#include "verify/structural.h"
 
 namespace nupea
 {
@@ -15,7 +16,12 @@ Builder::takeGraph()
               "still open; it must run after whileLoop/forLoop return, "
               "not inside a body callback");
     }
-    graph_.validateOrDie();
+    DiagnosticReport report;
+    checkStructure(graph_, report);
+    if (report.hasErrors()) {
+        fatal("malformed graph: ", report.errorCount(),
+              " structural error(s)\n", report.renderText());
+    }
     return std::move(graph_);
 }
 

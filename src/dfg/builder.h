@@ -71,8 +71,10 @@ class Builder
     /**
      * Move the finished graph out of the builder. Fatals if a loop
      * scope is still open (takeGraph() inside a body callback) or if
-     * the graph fails Graph::validate() — builder misuse surfaces
-     * here as a catchable FatalError rather than at simulation time.
+     * the verifier's structural rules (verify/structural.h) find an
+     * error; the message is the rendered report, so builder misuse
+     * surfaces here as a located, catchable FatalError rather than
+     * at simulation time. Token-rate rules are left to verifyGraph().
      */
     Graph takeGraph();
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/log.h"
-#include "common/scc.h"
 
 namespace nupea
 {
@@ -133,97 +132,6 @@ Graph::countCrit(Criticality c) const
             ++count;
     }
     return count;
-}
-
-std::vector<std::string>
-Graph::validate() const
-{
-    std::vector<std::string> problems;
-
-    // "node 7 'phi0' (LoopMerge)" when a debug name exists.
-    auto label = [this](NodeId id) {
-        const Node &n = nodes_[id];
-        return n.name.empty()
-                   ? formatMessage("node ", id, " (", opName(n.op), ")")
-                   : formatMessage("node ", id, " '", n.name, "' (",
-                                   opName(n.op), ")");
-    };
-
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node &n = nodes_[id];
-        const OpTraits &traits = opTraits(n.op);
-        if (n.inputs.size() < traits.minInputs ||
-            n.inputs.size() > traits.maxInputs) {
-            problems.push_back(formatMessage(label(id),
-                                             ": bad input count ",
-                                             n.inputs.size()));
-            continue;
-        }
-        for (std::size_t p = 0; p < n.inputs.size(); ++p) {
-            const InputConn &in = n.inputs[p];
-            if (!in.connected()) {
-                problems.push_back(formatMessage(label(id), " port ", p,
-                                                 " unconnected"));
-            } else if (!in.isImm && in.src >= nodes_.size()) {
-                problems.push_back(formatMessage(label(id), " port ", p,
-                                                 " references bad node ",
-                                                 in.src));
-            }
-        }
-        // A merge whose ctrl is an immediate would either loop forever
-        // or never take the back edge; likewise for steers that drop.
-        if (n.op == Op::LoopMerge && n.inputs.size() == 3 &&
-            n.inputs[2].isImm) {
-            problems.push_back(formatMessage(
-                label(id), ": merge ctrl is an immediate"));
-        }
-    }
-
-    // Reject cycles composed purely of combinational nodes that
-    // contain no LoopMerge. A merge-bearing ring is rate-limited by
-    // the merge's ctrl token (produced by a sequential node), so it is
-    // legal; a merge-free steer/invariant ring can never produce
-    // tokens and indicates a construction bug.
-    std::vector<std::vector<std::uint32_t>> comb_adj(nodes_.size());
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node &n = nodes_[id];
-        if (!opTraits(n.op).combinational)
-            continue;
-        for (const InputConn &in : n.inputs) {
-            if (in.isImm || in.src == kInvalidId)
-                continue;
-            if (opTraits(nodes_[in.src].op).combinational)
-                comb_adj[in.src].push_back(id);
-        }
-    }
-    SccResult scc = computeScc(comb_adj);
-    std::vector<bool> comp_has_merge(scc.numComponents(), false);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].op == Op::LoopMerge)
-            comp_has_merge[scc.component[id]] = true;
-    }
-    std::vector<bool> comp_reported(scc.numComponents(), false);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        std::uint32_t comp = scc.component[id];
-        if (scc.cyclic[comp] && !comp_has_merge[comp] &&
-            !comp_reported[comp]) {
-            comp_reported[comp] = true;
-            problems.push_back(formatMessage(
-                "combinational cycle through ", label(id),
-                " with no merge"));
-        }
-    }
-
-    return problems;
-}
-
-void
-Graph::validateOrDie() const
-{
-    auto problems = validate();
-    if (!problems.empty())
-        fatal("malformed graph: ", problems.front(), " (",
-              problems.size(), " problems total)");
 }
 
 std::string

@@ -144,17 +144,6 @@ class Graph
     /** Count memory nodes with the given criticality class. */
     std::size_t countCrit(Criticality c) const;
 
-    /**
-     * Check structural invariants: every required port connected,
-     * control inputs present, merges fully wired, no cycle made
-     * exclusively of combinational nodes. Returns a list of problem
-     * descriptions; empty means the graph is well-formed.
-     */
-    std::vector<std::string> validate() const;
-
-    /** Convenience: validate() and fatal() on the first problem. */
-    void validateOrDie() const;
-
     /** Graphviz dump for debugging. */
     std::string toDot() const;
 

@@ -13,7 +13,8 @@
  * drop tokens, or violate a fabric constraint if simulated; a
  * Warning means the construct is legal but almost certainly
  * unintended (dead compute, constant steer control); Notes carry
- * supplementary provenance. Only Errors fail `--verify`.
+ * supplementary provenance. Only Errors fail a check: takeGraph(),
+ * placeGraph() and the bench harness stop on Errors alone.
  */
 
 #ifndef NUPEA_VERIFY_DIAGNOSTICS_H

@@ -19,23 +19,21 @@ wiringSound(const DiagnosticReport &report)
 } // namespace
 
 DiagnosticReport
-verifyGraph(const Graph &graph, const VerifyOptions &options)
+verifyGraph(const Graph &graph)
 {
     DiagnosticReport report;
-    if (options.structure)
-        checkStructure(graph, report);
-    if (options.rates && wiringSound(report))
+    checkStructure(graph, report);
+    if (wiringSound(report))
         checkTokenRates(graph, report);
     return report;
 }
 
 DiagnosticReport
 verifyCompiled(const Graph &graph, const Topology &topo,
-               const Placement &placement, const RouteResult &route,
-               const VerifyOptions &options)
+               const Placement &placement, const RouteResult &route)
 {
-    DiagnosticReport report = verifyGraph(graph, options);
-    if (options.legality && wiringSound(report)) {
+    DiagnosticReport report = verifyGraph(graph);
+    if (wiringSound(report)) {
         checkPlacement(graph, topo, placement, report);
         checkRouting(graph, topo, placement, route, report);
     }
@@ -44,9 +42,9 @@ verifyCompiled(const Graph &graph, const Topology &topo,
 
 DiagnosticReport
 verifyCompiled(const Graph &graph, const Topology &topo,
-               const PnrResult &pnr, const VerifyOptions &options)
+               const PnrResult &pnr)
 {
-    return verifyCompiled(graph, topo, pnr.placement, pnr.route, options);
+    return verifyCompiled(graph, topo, pnr.placement, pnr.route);
 }
 
 } // namespace nupea

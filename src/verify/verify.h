@@ -4,8 +4,11 @@
  *
  * The verifier is read-only over the IR and PnR output: it never
  * mutates the graph, never consumes randomness, and therefore cannot
- * perturb simulation results. It runs by default between compile and
- * simulate (bench harness `--verify`, escape hatch `--no-verify`).
+ * perturb simulation results. Its rules are the only statement of
+ * the graph and placement invariants: Builder::takeGraph() runs
+ * checkStructure(), placeGraph() runs checkPlacement(), and the bench
+ * harness runs verifyCompiled() on every compilation before it
+ * simulates.
  *
  * See DESIGN.md ("Verification pipeline") for the diagnostic ID
  * catalog and how to add a rule.
@@ -23,20 +26,11 @@
 namespace nupea
 {
 
-/** Which analyses to run. */
-struct VerifyOptions
-{
-    bool structure = true;
-    bool rates = true;
-    bool legality = true;
-};
-
 /**
  * Verify a graph before PnR: structural rules, then — when the
  * wiring is sound enough to traverse — token-rate/deadlock rules.
  */
-DiagnosticReport verifyGraph(const Graph &graph,
-                             const VerifyOptions &options = {});
+DiagnosticReport verifyGraph(const Graph &graph);
 
 /**
  * Verify a compiled graph: everything verifyGraph checks, plus
@@ -44,13 +38,11 @@ DiagnosticReport verifyGraph(const Graph &graph,
  */
 DiagnosticReport verifyCompiled(const Graph &graph, const Topology &topo,
                                 const Placement &placement,
-                                const RouteResult &route,
-                                const VerifyOptions &options = {});
+                                const RouteResult &route);
 
 /** Convenience overload over a whole PnR result. */
 DiagnosticReport verifyCompiled(const Graph &graph, const Topology &topo,
-                                const PnrResult &pnr,
-                                const VerifyOptions &options = {});
+                                const PnrResult &pnr);
 
 } // namespace nupea
 

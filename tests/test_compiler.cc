@@ -102,7 +102,7 @@ TEST(Placement, LegalAndDeterministic)
     Placement p1 = placeGraph(k.graph, topo, opts);
     PlacerStats stats;
     Placement p2 = placeGraph(k.graph, topo, opts, &stats);
-    EXPECT_TRUE(placementLegal(k.graph, topo, p1));
+    EXPECT_TRUE(test::legalPlacement(k.graph, topo, p1));
     EXPECT_EQ(p1.pos, p2.pos) << "same seed must give same placement";
 
     // One anneal of the whole schedule; asking for stats does not
@@ -380,7 +380,7 @@ TEST(Pnr, EndToEndSucceeds)
     ASSERT_TRUE(r.success) << r.failureReason;
     EXPECT_GE(r.timing.clockDivider, 1);
     EXPECT_EQ(r.crit.critical, 2u);
-    EXPECT_TRUE(placementLegal(k.graph, topo, r.placement));
+    EXPECT_TRUE(test::legalPlacement(k.graph, topo, r.placement));
 }
 
 TEST(Pnr, FailureReportedNotFatal)

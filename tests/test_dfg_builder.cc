@@ -13,6 +13,7 @@
 #include "common/log.h"
 #include "dfg/builder.h"
 #include "dfg/interp.h"
+#include "test_support.h"
 
 namespace nupea
 {
@@ -46,7 +47,7 @@ peekWord(const ByteBuffer &mem, Addr addr)
 InterpResult
 runClean(Builder &b, ByteBuffer &mem)
 {
-    b.graph().validateOrDie();
+    EXPECT_TRUE(test::wellFormed(b.graph()));
     Interp interp(b.graph(), mem);
     InterpResult r = interp.run();
     EXPECT_TRUE(r.clean) << (r.problems.empty() ? "" : r.problems[0]);
@@ -500,8 +501,9 @@ TEST(Builder, TakeGraphInsideLoopBodyIsFatal)
 
 TEST(Builder, TakeGraphValidatesAndNamesNodes)
 {
-    // takeGraph() runs validateOrDie(); a hand-broken graph throws a
-    // message carrying the node's debug name.
+    // takeGraph() runs the verifier's structural rules; a hand-broken
+    // graph throws the rendered report, which carries the node's
+    // debug name.
     Builder b;
     auto v = b.binary(Op::Add, b.source(2), b.source(3), "total");
     b.sink(v);
@@ -511,6 +513,28 @@ TEST(Builder, TakeGraphValidatesAndNamesNodes)
         FAIL() << "takeGraph() accepted a malformed graph";
     } catch (const FatalError &err) {
         EXPECT_NE(std::string(err.what()).find("total"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(Builder, TakeGraphRejectsBadReference)
+{
+    // An input pointed past the end of the graph is a located error,
+    // not an out-of-range read.
+    Builder b;
+    auto ctrl = b.source(1, "ctrl");
+    auto x = b.source(7, "x");
+    NodeId steer = b.graph().addNode(Op::SteerTrue, 2, "steer");
+    b.graph().connect(steer, 0, ctrl.id);
+    b.graph().connect(steer, 1, x.id);
+    b.sink(Value(steer, 0));
+    b.graph().node(steer).inputs[1] = InputConn::fromNode(1000000);
+    try {
+        b.takeGraph();
+        FAIL() << "takeGraph() accepted a reference to node 1000000";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("struct.port-bad-ref"),
                   std::string::npos)
             << err.what();
     }

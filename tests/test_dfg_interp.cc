@@ -13,6 +13,7 @@
 #include "dfg/builder.h"
 #include "dfg/graph.h"
 #include "dfg/interp.h"
+#include "test_support.h"
 
 namespace nupea
 {
@@ -224,7 +225,7 @@ TEST(Interp, MergeTakesInitThenBack)
     g.connect(sf, 1, merge);
     g.connect(snk, 0, sf);
 
-    ASSERT_TRUE(g.validate().empty());
+    ASSERT_TRUE(test::wellFormed(g));
     auto mem = smallMem();
     auto r = Interp(g, mem).run();
     EXPECT_TRUE(r.clean);
@@ -305,7 +306,7 @@ TEST(Interp, DeepPortHoldsThousandsOfTokens)
     constexpr Word kTrips = 1500;
     Builder b;
     NodeId sink = buildQueuedJoin(b, b.source(kTrips));
-    ASSERT_TRUE(b.graph().validate().empty());
+    ASSERT_TRUE(test::wellFormed(b.graph()));
 
     auto mem = smallMem();
     auto r = Interp(b.graph(), mem).run();
@@ -330,7 +331,7 @@ TEST(Interp, PortFillsAndDrainsRepeatedly)
                   sink = buildQueuedJoin(bb, bb.add(bb.mul(r, 37), 5));
                   return std::vector<Builder::Value>{};
               });
-    ASSERT_TRUE(b.graph().validate().empty());
+    ASSERT_TRUE(test::wellFormed(b.graph()));
 
     auto mem = smallMem();
     auto r = Interp(b.graph(), mem).run();

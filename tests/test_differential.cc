@@ -15,6 +15,7 @@
 #include "dfg/builder.h"
 #include "dfg/interp.h"
 #include "sim/machine.h"
+#include "test_support.h"
 #include "workloads/workload.h"
 
 namespace nupea
@@ -169,7 +170,7 @@ TEST_P(Differential, MachineMatchesInterpreter)
     ProgramGen gen(seed, ro, kRoWords, rw, kRwWords);
     std::vector<NodeId> sinks = gen.generate(b);
     Graph graph = b.takeGraph();
-    ASSERT_TRUE(graph.validate().empty());
+    ASSERT_TRUE(test::wellFormed(graph));
 
     // Reference execution.
     BackingStore ref_store(kMemBytes);
@@ -250,7 +251,7 @@ TEST_P(SparseDifferential, MachineMatchesInterpreter)
     BackingStore proto(MemSysConfig{}.memBytes);
     wl->init(proto);
     Graph graph = wl->build(1);
-    ASSERT_TRUE(graph.validate().empty());
+    ASSERT_TRUE(test::wellFormed(graph));
 
     // Untimed reference execution.
     BackingStore ref_store(proto.size());

@@ -21,6 +21,7 @@
 
 #include "bench/bench_util.h"
 #include "dfg/interp.h"
+#include "test_support.h"
 #include "verify/verify.h"
 #include "workloads/gen/gen_workload.h"
 
@@ -44,7 +45,7 @@ runShapeDifferential(const GeneratorSpec &spec, std::uint64_t seed,
     BackingStore proto(mem_bytes);
     wl->init(proto);
     Graph graph = wl->build(1);
-    ASSERT_TRUE(graph.validate().empty()) << who;
+    ASSERT_TRUE(test::wellFormed(graph)) << who;
 
     // Stage 1: static verifier, pre-PnR.
     DiagnosticReport report = verifyGraph(graph);
@@ -227,7 +228,7 @@ TEST_P(LaneGenFuzz, RandomShapeBatchMatchesScalar)
     BackingStore image(mem_bytes);
     wl->init(image);
     Graph graph = wl->build(1);
-    ASSERT_TRUE(graph.validate().empty()) << who;
+    ASSERT_TRUE(test::wellFormed(graph)) << who;
 
     Topology topo = Topology::makeMonaco(12, 12);
     PnrOptions popts;

@@ -32,6 +32,7 @@
 #include "bench/sweep_runner.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "test_support.h"
 #include "workloads/gen/gen_workload.h"
 
 namespace nupea
@@ -211,7 +212,7 @@ TEST_P(PerfModelGenFuzz, RandomShapeWithinFuzzBound)
     BackingStore image(mem_bytes);
     wl->init(image);
     Graph graph = wl->build(1);
-    ASSERT_TRUE(graph.validate().empty()) << who;
+    ASSERT_TRUE(test::wellFormed(graph)) << who;
 
     Topology topo = Topology::makeMonaco(12, 12);
     PnrOptions popts;

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the PnR report utilities (placement map, per-domain
- * criticality summary, criticality-rank cross-validation, and the
- * static-model validation report).
+ * criticality summary and criticality-rank cross-validation).
  */
 
 #include <gtest/gtest.h>
@@ -118,19 +117,6 @@ TEST(Report, CriticalityRankCorrelationPinnedFloors)
             << name << ": per-node rank correlation regressed\n"
             << v.table;
     }
-}
-
-TEST(Report, PerfModelReportComputesRelativeErrors)
-{
-    PerfModelReport r = validatePerfModel(900.0, 1000.0, 55.0, 50.0);
-    EXPECT_DOUBLE_EQ(r.cycleError, 0.1);
-    EXPECT_DOUBLE_EQ(r.energyError, 0.1);
-    EXPECT_NE(r.table.find("predicted"), std::string::npos);
-
-    // Measured zero: error defined as zero, not a division blowup.
-    PerfModelReport z = validatePerfModel(5.0, 0.0, 1.0, 0.0);
-    EXPECT_DOUBLE_EQ(z.cycleError, 0.0);
-    EXPECT_DOUBLE_EQ(z.energyError, 0.0);
 }
 
 } // namespace

@@ -1,21 +1,51 @@
 /**
  * @file
  * Shared helpers for compiler/simulator tests: tiny kernels built
- * against the Builder API plus memory poke/peek utilities.
+ * against the Builder API, memory poke/peek utilities, and gtest
+ * predicates over the verifier's structural and placement rules.
  */
 
 #ifndef NUPEA_TESTS_TEST_SUPPORT_H
 #define NUPEA_TESTS_TEST_SUPPORT_H
 
+#include <gtest/gtest.h>
+
 #include <vector>
 
 #include "dfg/builder.h"
 #include "memory/backing_store.h"
+#include "verify/legality.h"
+#include "verify/structural.h"
 
 namespace nupea
 {
 namespace test
 {
+
+/** The verifier's structural rules find no error in `graph` (the
+ *  check Builder::takeGraph() applies); a failure prints the report. */
+inline ::testing::AssertionResult
+wellFormed(const Graph &graph)
+{
+    DiagnosticReport report;
+    checkStructure(graph, report);
+    if (!report.hasErrors())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << report.renderText();
+}
+
+/** The verifier's placement rules find no error (the check
+ *  placeGraph() applies to its result); a failure prints the report. */
+inline ::testing::AssertionResult
+legalPlacement(const Graph &graph, const Topology &topo,
+               const Placement &placement)
+{
+    DiagnosticReport report;
+    checkPlacement(graph, topo, placement, report);
+    if (!report.hasErrors())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << report.renderText();
+}
 
 /** Result handles for a built kernel. */
 struct KernelHandles

@@ -411,13 +411,17 @@ TEST(SweepRunnerTest, PnrEpochResolution)
 {
     // The placer is one annealing run with no portfolio knobs: every
     // spelling of `--pnr-epoch` and `--pnr-chains` is an unknown
-    // argument, even a chain count of 1.
+    // argument, even a chain count of 1. Every compile is verified,
+    // so `--verify` and `--no-verify` are unknown too.
     const char *argv1[] = {"bench", "--pnr-epoch", "10"};
     const char *argv2[] = {"bench", "--pnr-epoch=5"};
     const char *argv3[] = {"bench", "--pnr-chains", "4"};
     const char *argv4[] = {"bench", "--pnr-chains=1"};
+    const char *argv5[] = {"bench", "--verify"};
+    const char *argv6[] = {"bench", "--no-verify"};
     const std::pair<int, const char **> cases[] = {
-        {3, argv1}, {2, argv2}, {3, argv3}, {2, argv4}};
+        {3, argv1}, {2, argv2}, {3, argv3},
+        {2, argv4}, {2, argv5}, {2, argv6}};
     for (const auto &[argc, argv] : cases) {
         try {
             parseSweepArgs(argc, const_cast<char **>(argv));

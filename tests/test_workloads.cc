@@ -11,6 +11,7 @@
 #include "compiler/pnr.h"
 #include "dfg/interp.h"
 #include "sim/machine.h"
+#include "test_support.h"
 #include "workloads/data_gen.h"
 #include "workloads/workload.h"
 
@@ -30,7 +31,7 @@ TEST_P(WorkloadInterp, MatchesHostReferenceAtP1)
     BackingStore store(kMemBytes);
     wl->init(store);
     Graph g = wl->build(1);
-    g.validateOrDie();
+    ASSERT_TRUE(test::wellFormed(g));
 
     Interp interp(g, store.raw());
     auto r = interp.run();
@@ -46,7 +47,7 @@ TEST_P(WorkloadInterp, MatchesHostReferenceAtP4)
     BackingStore store(kMemBytes);
     wl->init(store);
     Graph g = wl->build(4);
-    g.validateOrDie();
+    ASSERT_TRUE(test::wellFormed(g));
 
     Interp interp(g, store.raw());
     auto r = interp.run();
@@ -72,7 +73,7 @@ TEST_P(WorkloadMachine, SimulatedRunMatchesHostReference)
     // Modest parallelism keeps the PnR fast in tests.
     int p = std::min(4, std::max(1, wl->preferredParallelism()));
     Graph g = wl->build(p);
-    g.validateOrDie();
+    ASSERT_TRUE(test::wellFormed(g));
 
     Topology topo = Topology::makeMonaco(12, 12);
     PnrOptions popts;
