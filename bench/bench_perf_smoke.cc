@@ -30,6 +30,9 @@
  *
  * With --guard, the run is checked against the committed BASELINE
  * json; the first failing gate exits 1. In order:
+ *  - placer_single_cost must equal the baseline's at the json's three
+ *    decimals (a baseline without the key skips this check with a
+ *    note);
  *  - total firings_per_sec more than 25% below the baseline's fails
  *    (a baseline without the key fails too);
  *  - analyzer_points_per_sec, placer_points_per_sec and
@@ -568,6 +571,32 @@ main(int argc, char **argv)
             warn("perf guard: cannot read baseline ", guard_path);
             return 1;
         }
+        // Pure output before timing: the placer's summed cost is a
+        // function of the seeds alone, so any difference from the
+        // baseline is changed behaviour, not host noise. Compared at
+        // the precision the json holds.
+        double baseline_cost = 0.0;
+        if (readBaselineValue(baseline_text, "placer_single_cost",
+                              baseline_cost)) {
+            char baseline[64], measured[64];
+            std::snprintf(baseline, sizeof baseline, "%.3f",
+                          baseline_cost);
+            std::snprintf(measured, sizeof measured, "%.3f",
+                          placer_single_cost);
+            std::printf("perf guard: placer_single_cost baseline %s, "
+                        "measured %s\n",
+                        baseline, measured);
+            if (std::strtod(measured, nullptr) != baseline_cost) {
+                warn("perf guard: placer_single_cost ", measured,
+                     " differs from the baseline's ", baseline,
+                     "; the anneal's decisions changed");
+                return 1;
+            }
+        } else {
+            std::printf("perf guard: baseline has no placer_single_cost; "
+                        "skipping the placer output check\n");
+        }
+
         // Throughput gates. The analyzer must stay fast enough that
         // pruning a sweep is always cheaper than simulating it. The
         // analyzer, placer and router rows are min-of-3 walls on both

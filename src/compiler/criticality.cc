@@ -8,12 +8,15 @@ namespace nupea
 CriticalityStats
 analyzeCriticality(Graph &graph)
 {
-    const std::size_t n = graph.numNodes();
+    // Read through a const view and write only `crit`, so the fanout
+    // cache the graph's last structural check built stays valid.
+    const Graph &g = graph;
+    const std::size_t n = g.numNodes();
 
     // Dataflow adjacency (producer -> consumer) over value edges.
     std::vector<std::vector<std::uint32_t>> adj(n);
     for (NodeId id = 0; id < n; ++id) {
-        for (const InputConn &in : graph.node(id).inputs) {
+        for (const InputConn &in : g.node(id).inputs) {
             if (!in.isImm && in.src != kInvalidId)
                 adj[in.src].push_back(id);
         }
@@ -24,7 +27,7 @@ analyzeCriticality(Graph &graph)
     // A recurrence is a cyclic component carrying a loop merge.
     std::vector<bool> comp_is_recurrence(scc.numComponents(), false);
     for (NodeId id = 0; id < n; ++id) {
-        if (graph.node(id).op == Op::LoopMerge &&
+        if (g.node(id).op == Op::LoopMerge &&
             scc.cyclic[scc.component[id]]) {
             comp_is_recurrence[scc.component[id]] = true;
         }
@@ -35,20 +38,20 @@ analyzeCriticality(Graph &graph)
         stats.recurrences += comp_is_recurrence[comp];
 
     for (NodeId id = 0; id < n; ++id) {
-        Node &node = graph.node(id);
+        const Node &node = g.node(id);
         if (!opTraits(node.op).isMemory) {
-            node.crit = Criticality::None;
+            graph.setCrit(id, Criticality::None);
             continue;
         }
         if (comp_is_recurrence[scc.component[id]]) {
-            node.crit = Criticality::Critical;
+            graph.setCrit(id, Criticality::Critical);
             ++stats.critical;
         } else if (node.loop != kInvalidId &&
-                   !graph.loopInfo(node.loop).hasChildren) {
-            node.crit = Criticality::InnerLoop;
+                   !g.loopInfo(node.loop).hasChildren) {
+            graph.setCrit(id, Criticality::InnerLoop);
             ++stats.innerLoop;
         } else {
-            node.crit = Criticality::OtherMem;
+            graph.setCrit(id, Criticality::OtherMem);
             ++stats.otherMem;
         }
     }

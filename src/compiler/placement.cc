@@ -49,6 +49,29 @@ constexpr int kNumFuClasses = 4;
 constexpr double kTBegin = 12.0;
 constexpr double kTEnd = 0.05;
 
+/** Moves per temperature bracket: the anneal evaluates the schedule
+ *  once per block, at the block's end. */
+constexpr std::uint64_t kTempBlock = 64;
+
+/**
+ * `u >= exp(-delta / annealTemperature(i, total))` for `delta` > 0,
+ * given tHi >= that temperature >= tLo. exp(-delta / T) rises with T,
+ * so a draw at or above the bound at tHi rejects and one below the
+ * bound at tLo accepts; the 1e-12 margins cover the last-bit rounding
+ * of pow and exp. Only a draw between the two bounds needs the exact
+ * temperature.
+ */
+bool
+rejectsUphill(double u, double delta, double tHi, double tLo,
+              std::uint64_t i, std::uint64_t total)
+{
+    if (u >= std::exp(-delta / tHi) * (1 + 1e-12))
+        return true;
+    if (u < std::exp(-delta / tLo) * (1 - 1e-12))
+        return false;
+    return u >= std::exp(-delta / annealTemperature(i, total));
+}
+
 int
 fuIndex(FuClass fu)
 {
@@ -136,6 +159,14 @@ struct SlotList
         for (--size; i < size; ++i)
             ids[i] = ids[i + 1];
     }
+
+    /** Move `id` behind the others, keeping their order. */
+    void
+    moveToBack(NodeId id)
+    {
+        erase(id);
+        push(id);
+    }
 };
 
 /** Working state for the initial placement and the anneal. */
@@ -163,19 +194,6 @@ class PlacerState
         if (!tables_.isMemory[id])
             return 0.0;
         return tables_.memWeight[id] * tables_.tileMemCost[tileOf(tile)];
-    }
-
-    /** Wirelength of all edges incident to `id` given positions. */
-    double
-    incidentWirelen(NodeId id) const
-    {
-        // Integer sums convert exactly, so this equals summing the
-        // distances as doubles.
-        int total = 0;
-        for (std::uint32_t i = tables_.nbrBegin[id];
-             i < tables_.nbrBegin[id + 1]; ++i)
-            total += pos_[tables_.nbr[i]].manhattan(pos_[id]);
-        return total * options_.wirelenWeight;
     }
 
     bool
@@ -241,14 +259,6 @@ class PlacerState
                          [static_cast<std::size_t>(fuIndex(fu))];
     }
 
-    double
-    tempAt(std::uint64_t i) const
-    {
-        return kTBegin * std::pow(kTEnd / kTBegin,
-                                  static_cast<double>(i) /
-                                      static_cast<double>(schedTotal_));
-    }
-
     /** Full objective of the current positions (same model as the
      *  free placementCost(), over pos_ without copying). */
     double
@@ -276,32 +286,51 @@ class PlacerState
         return list.ids[rng_.below(list.size)];
     }
 
-    /** Subtract the wirelength of each edge from `src` into `dst`. */
-    void
-    subtractEdges(double &cost, NodeId src, NodeId dst) const
-    {
-        for (std::uint32_t i = tables_.nbrBegin[dst]; i < tables_.inEnd[dst];
-             ++i) {
-            if (tables_.nbr[i] == src) {
-                cost -= options_.wirelenWeight *
-                        pos_[src].manhattan(pos_[dst]);
-            }
-        }
-    }
-
-    /** Cost touched by moving `a` (and optionally `b`). */
+    /**
+     * Objective change of moving `a` from `from` to `to` and, when `b`
+     * is given, `b` from `to` to `from`, priced without making the
+     * move. Each side sums the edges incident to a and b, plus their
+     * memory terms: exactly the terms a move can change, so the delta
+     * is the full objective's. An a-b edge is in both neighbour lists
+     * (as a's input and in b's fanout, or the reverse), so each of
+     * a's list entries naming b is one duplicate to subtract; its
+     * length, like a self edge's zero, is the same before and after.
+     * Wirelength is an integer sum, which converts exactly.
+     */
     double
-    localCost(NodeId a, NodeId b)
+    moveDelta(NodeId a, NodeId b, Coord from, Coord to) const
     {
-        double cost = incidentWirelen(a) + nodeMemCost(a, pos_[a]);
-        if (b != kInvalidId) {
-            cost += incidentWirelen(b) + nodeMemCost(b, pos_[b]);
-            // Edges between a and b are counted from both sides;
-            // subtract the duplicate so deltas stay consistent.
-            subtractEdges(cost, a, b);
-            subtractEdges(cost, b, a);
+        const double w = options_.wirelenWeight;
+        int a_before = 0, a_after = 0, dups = 0;
+        for (std::uint32_t i = tables_.nbrBegin[a];
+             i < tables_.nbrBegin[a + 1]; ++i) {
+            NodeId k = tables_.nbr[i];
+            Coord p = k == a ? to : k == b ? from : pos_[k];
+            a_before += pos_[k].manhattan(from);
+            a_after += p.manhattan(to);
+            dups += k == b;
         }
-        return cost;
+        double before = a_before * w + nodeMemCost(a, from);
+        double after = a_after * w + nodeMemCost(a, to);
+        if (b == kInvalidId)
+            return after - before;
+
+        int b_before = 0, b_after = 0;
+        for (std::uint32_t i = tables_.nbrBegin[b];
+             i < tables_.nbrBegin[b + 1]; ++i) {
+            NodeId k = tables_.nbr[i];
+            Coord p = k == b ? from : k == a ? to : pos_[k];
+            b_before += pos_[k].manhattan(to);
+            b_after += p.manhattan(from);
+        }
+        before += b_before * w + nodeMemCost(b, to);
+        after += b_after * w + nodeMemCost(b, from);
+        const double dup = w * from.manhattan(to);
+        for (int k = 0; k < dups; ++k) {
+            before -= dup;
+            after -= dup;
+        }
+        return after - before;
     }
 
     const Graph &graph_;
@@ -411,7 +440,16 @@ PlacerState::anneal()
 {
     const std::size_t n = graph_.numNodes();
     double cost = fullCost(); // tracked incrementally below
+    // The temperature falls with i; each 64-move block brackets its
+    // moves' temperatures between its ends. pow(x, 0) is exactly 1,
+    // so the first block starts at kTBegin.
+    double t_hi = kTBegin;
+    double t_lo = kTBegin;
     for (std::uint64_t i = 0; i < schedTotal_; ++i) {
+        if (i % kTempBlock == 0) {
+            t_hi = t_lo;
+            t_lo = annealTemperature(i + kTempBlock, schedTotal_);
+        }
         NodeId a = static_cast<NodeId>(rng_.below(n));
         FuClass fu = tables_.fu[a];
         Coord from = pos_[a];
@@ -431,39 +469,29 @@ PlacerState::anneal()
                 continue;
         }
 
-        double before = localCost(a, b);
-        // Apply the move.
+        double delta = moveDelta(a, b, from, to);
+        if (delta > 0 && rejectsUphill(rng_.uniform(), delta, t_hi, t_lo,
+                                       i, schedTotal_)) {
+            // A rejected move still re-queues a (and b) at the back of
+            // its slot list, as making and reverting it would:
+            // randomOccupant() indexes by that order.
+            slotList(from, fu).moveToBack(a);
+            if (b != kInvalidId)
+                slotList(to, fu).moveToBack(b);
+            continue;
+        }
         remove(a);
         if (b != kInvalidId)
             remove(b);
         put(a, to);
         if (b != kInvalidId)
             put(b, from);
-        double after = localCost(a, b);
-
-        double delta = after - before;
-        // The temperature (a std::pow) matters only uphill.
-        if (delta > 0 &&
-            rng_.uniform() >= std::exp(-delta / tempAt(i))) {
-            // Revert.
-            remove(a);
-            if (b != kInvalidId)
-                remove(b);
-            put(a, from);
-            if (b != kInvalidId)
-                put(b, to);
-        } else {
-            // localCost covers exactly the edges a move can change
-            // (a-b duplicates subtracted), so its delta equals the
-            // full-objective delta and the incremental sum tracks
-            // placementCost(), as the drift assertion below checks.
-            cost += delta;
-            ++accepted_;
-        }
+        cost += delta;
+        ++accepted_;
     }
 
     // Drift assertion: the incremental cost must match a full
-    // recompute, or localCost() has diverged from the objective.
+    // recompute, or moveDelta() has diverged from the objective.
     double full = fullCost();
     NUPEA_ASSERT(std::abs(cost - full) <=
                      1e-6 * std::max(1.0, std::abs(full)),
@@ -472,6 +500,23 @@ PlacerState::anneal()
 }
 
 } // namespace
+
+double
+annealTemperature(std::uint64_t i, std::uint64_t total)
+{
+    return kTBegin * std::pow(kTEnd / kTBegin, static_cast<double>(i) /
+                                                   static_cast<double>(total));
+}
+
+bool
+metropolisRejects(double u, double delta, std::uint64_t i,
+                  std::uint64_t total)
+{
+    std::uint64_t begin = i - i % kTempBlock;
+    return rejectsUphill(u, delta, annealTemperature(begin, total),
+                         annealTemperature(begin + kTempBlock, total), i,
+                         total);
+}
 
 double
 placementCost(const Graph &graph, const Topology &topo,
@@ -503,6 +548,9 @@ placeGraph(const Graph &graph, const Topology &topo,
     if (options.portfolio.chains != 1)
         fatal("PlacerOptions::portfolio.chains must be 1 (one anneal), "
               "got ", options.portfolio.chains);
+    if (options.iterationsPerNode < 0)
+        fatal("PlacerOptions::iterationsPerNode must be >= 0, got ",
+              options.iterationsPerNode);
 
     // Fail fast when the graph cannot fit.
     for (FuClass fu : {FuClass::Arith, FuClass::Control, FuClass::Mem,

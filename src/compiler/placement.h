@@ -80,7 +80,7 @@ struct PlacerOptions
 {
     PlaceMode mode = PlaceMode::CriticalityAware;
     std::uint64_t seed = 1;
-    /** Annealing moves per graph node. */
+    /** Annealing moves per graph node; a negative value is fatal(). */
     int iterationsPerNode = 150;
     /** Weight of the total-wirelength term. */
     static constexpr double wirelenWeight = 1.0;
@@ -100,6 +100,20 @@ struct PlacerOptions
 double placementCost(const Graph &graph, const Topology &topo,
                      const Placement &placement,
                      const PlacerOptions &options);
+
+/** Temperature of move `i` of a `total`-move anneal: 12 at the start,
+ *  falling geometrically to 0.05 at `total` (for tests). */
+double annealTemperature(std::uint64_t i, std::uint64_t total);
+
+/**
+ * The anneal's Metropolis test for an uphill move (`delta` > 0) with
+ * uniform draw `u` at move `i` of `total`; true rejects the move
+ * (for tests). It equals `u >= std::exp(-delta /
+ * annealTemperature(i, total))`, but decides from the temperatures at
+ * the ends of i's 64-move block whenever they settle it.
+ */
+bool metropolisRejects(double u, double delta, std::uint64_t i,
+                       std::uint64_t total);
 
 /**
  * Place every node of `graph` onto `topo`. The graph must fit (see

@@ -52,6 +52,7 @@ Graph::setImm(NodeId dst, int port, Word value)
     Node &n = nodes_[dst];
     NUPEA_ASSERT(port >= 0 && port < static_cast<int>(n.inputs.size()));
     n.inputs[static_cast<std::size_t>(port)] = InputConn::fromImm(value);
+    fanoutValid_ = false;
 }
 
 LoopId
@@ -83,6 +84,13 @@ Graph::node(NodeId id) const
 {
     NUPEA_ASSERT(id < nodes_.size());
     return nodes_[id];
+}
+
+void
+Graph::setCrit(NodeId id, Criticality crit)
+{
+    NUPEA_ASSERT(id < nodes_.size());
+    nodes_[id].crit = crit;
 }
 
 const LoopInfo &

@@ -124,8 +124,15 @@ class Graph
     /** Register a loop in the loop tree; returns its id. */
     LoopId addLoop(LoopId parent);
 
+    /** Mutable access; drops the fanout cache. */
     Node &node(NodeId id);
     const Node &node(NodeId id) const;
+
+    /** Set a node's criticality class. Unlike a write through the
+     *  non-const node(), this keeps the fanout cache, which does not
+     *  depend on criticality. */
+    void setCrit(NodeId id, Criticality crit);
+
     std::size_t numNodes() const { return nodes_.size(); }
     const std::vector<Node> &nodes() const { return nodes_; }
 

@@ -4,6 +4,9 @@
  * routing, timing, and the PnR driver with automatic parallelism.
  */
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "compiler/pnr.h"
@@ -118,6 +121,55 @@ TEST(Placement, LegalAndDeterministic)
     // not silently run as one anneal.
     opts.portfolio.chains = 2;
     EXPECT_THROW(placeGraph(k.graph, topo, opts), FatalError);
+
+    // A negative move count is refused, not scheduled as ~2^64 moves.
+    opts.portfolio.chains = 1;
+    opts.iterationsPerNode = -1;
+    EXPECT_THROW(placeGraph(k.graph, topo, opts), FatalError);
+}
+
+TEST(Placement, BracketedMetropolisMatchesDirectTest)
+{
+    // The anneal's bracketed decision must be the direct test
+    // u >= exp(-delta / T(i)) on every draw, across schedule lengths,
+    // block boundaries, draws at the threshold and one and two ULPs
+    // either side of it, u = 0, and deltas whose exp underflows.
+    const std::uint64_t totals[] = {1,    2,    63,     64,      65,     127,
+                                    4096, 9600, 123457, 1972260, 7502400};
+    Rng rng(20);
+    std::uint64_t checked = 0, mismatches = 0;
+    auto check = [&](double u, double delta, std::uint64_t i,
+                     std::uint64_t total) {
+        bool direct = u >= std::exp(-delta / annealTemperature(i, total));
+        ++checked;
+        if (metropolisRejects(u, delta, i, total) != direct &&
+            ++mismatches <= 5) {
+            ADD_FAILURE() << "u=" << u << " delta=" << delta << " i=" << i
+                          << " total=" << total << " direct=" << direct;
+        }
+    };
+    for (std::uint64_t total : totals) {
+        for (int draw = 0; draw < 16000; ++draw) {
+            std::uint64_t i = rng.below(total);
+            if (draw % 4 == 1)
+                i -= i % 64; // a block's first move
+            else if (draw % 4 == 2)
+                i = std::min(total - 1, i | 63); // a block's last move
+            double t = annealTemperature(i, total);
+            // delta / T log-uniform over [1e-6, 2e3]: exp underflows
+            // to a subnormal above ~708 and to 0 above ~745.
+            double delta = t * std::pow(10.0, -6.0 + 9.3 * rng.uniform());
+            double threshold = std::exp(-delta / t);
+            double below1 = std::nextafter(threshold, 0.0);
+            double above1 = std::nextafter(threshold, 1.0);
+            for (double u : {rng.uniform(), threshold, below1,
+                             std::nextafter(below1, 0.0), above1,
+                             std::nextafter(above1, 1.0), 0.0})
+                check(u, delta, i, total);
+        }
+    }
+    EXPECT_GE(checked, 1000000u);
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Placement, MemoryOpsLandOnLsTiles)

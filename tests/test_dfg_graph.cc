@@ -143,6 +143,18 @@ TEST(Graph, FanoutInvalidatedByMutation)
     EXPECT_EQ(g.fanout()[a].size(), 1u);
 }
 
+TEST(Graph, FanoutInvalidatedBySetImm)
+{
+    // An immediate written over a wired port removes that edge.
+    Graph g;
+    NodeId a = g.addNode(Op::Source, 0);
+    NodeId s = g.addNode(Op::Sink, 1);
+    g.connect(s, 0, a);
+    ASSERT_EQ(g.fanout()[a].size(), 1u);
+    g.setImm(s, 0, 5);
+    EXPECT_TRUE(g.fanout()[a].empty());
+}
+
 TEST(Graph, CountFuAndCrit)
 {
     Graph g;
