@@ -30,9 +30,10 @@
  *
  * With --guard, the run is checked against the committed BASELINE
  * json; the first failing gate exits 1. In order:
- *  - placer_single_cost must equal the baseline's at the json's three
- *    decimals (a baseline without the key skips this check with a
- *    note);
+ *  - the pure outputs placer_single_cost, predicted_system_cycles_sum
+ *    and router_iterations must each equal the baseline's at the
+ *    precision the json holds (a baseline without a key skips that
+ *    check with a note);
  *  - total firings_per_sec more than 25% below the baseline's fails
  *    (a baseline without the key fails too);
  *  - analyzer_points_per_sec, placer_points_per_sec and
@@ -142,6 +143,46 @@ readBaselineValue(const std::string &text, const char *key,
         return false;
     value = std::strtod(text.c_str() + pos + needle.size(), nullptr);
     return value > 0.0;
+}
+
+/**
+ * A pure output of the run: a function of the code and the seeds
+ * alone, so any difference from the baseline is changed behaviour,
+ * not host noise. `format` is the precision the json writes it at.
+ */
+struct ExactCheck
+{
+    const char *key;     ///< baseline json key (last occurrence)
+    const char *format;  ///< printf format of the json value
+    const char *changed; ///< what a mismatch means
+    double measured;     ///< this run's value
+};
+
+/** Report one exact check; false when it fails the guard. */
+bool
+passesExactCheck(const ExactCheck &check, const std::string &baselineText)
+{
+    double baseline_value = 0.0;
+    if (!readBaselineValue(baselineText, check.key, baseline_value)) {
+        std::printf("perf guard: baseline has no %s; skipping its "
+                    "check\n",
+                    check.key);
+        return true;
+    }
+    char baseline[64], measured[64];
+    std::snprintf(baseline, sizeof baseline, check.format,
+                  baseline_value);
+    std::snprintf(measured, sizeof measured, check.format,
+                  check.measured);
+    std::printf("perf guard: %s baseline %s, measured %s\n", check.key,
+                baseline, measured);
+    if (std::strtod(measured, nullptr) != baseline_value) {
+        warn("perf guard: ", check.key, " ", measured,
+             " differs from the baseline's ", baseline, "; ",
+             check.changed);
+        return false;
+    }
+    return true;
 }
 
 /**
@@ -571,30 +612,21 @@ main(int argc, char **argv)
             warn("perf guard: cannot read baseline ", guard_path);
             return 1;
         }
-        // Pure output before timing: the placer's summed cost is a
-        // function of the seeds alone, so any difference from the
-        // baseline is changed behaviour, not host noise. Compared at
-        // the precision the json holds.
-        double baseline_cost = 0.0;
-        if (readBaselineValue(baseline_text, "placer_single_cost",
-                              baseline_cost)) {
-            char baseline[64], measured[64];
-            std::snprintf(baseline, sizeof baseline, "%.3f",
-                          baseline_cost);
-            std::snprintf(measured, sizeof measured, "%.3f",
-                          placer_single_cost);
-            std::printf("perf guard: placer_single_cost baseline %s, "
-                        "measured %s\n",
-                        baseline, measured);
-            if (std::strtod(measured, nullptr) != baseline_cost) {
-                warn("perf guard: placer_single_cost ", measured,
-                     " differs from the baseline's ", baseline,
-                     "; the anneal's decisions changed");
+        // Pure outputs before timing, each at the precision the json
+        // writes it with.
+        const ExactCheck checks[] = {
+            {"placer_single_cost", "%.3f",
+             "the anneal's decisions changed", placer_single_cost},
+            {"predicted_system_cycles_sum", "%.1f",
+             "the static model's predictions changed",
+             analyzer_checksum},
+            {"router_iterations", "%.0f",
+             "the router's negotiation changed",
+             static_cast<double>(router_iterations)},
+        };
+        for (const ExactCheck &check : checks) {
+            if (!passesExactCheck(check, baseline_text))
                 return 1;
-            }
-        } else {
-            std::printf("perf guard: baseline has no placer_single_cost; "
-                        "skipping the placer output check\n");
         }
 
         // Throughput gates. The analyzer must stay fast enough that

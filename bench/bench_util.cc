@@ -63,29 +63,19 @@ compileWorkload(const std::string &name, const Topology &topo,
                         : cw.workload->preferredParallelism();
     if (options.parallelism < 0)
         preferred = 0; // force the automatic ramp
-    if (preferred > 0) {
-        // Hand-tuned degree (paper Sec. 6); back off while PnR fails.
-        for (int p = preferred; p >= 1; p /= 2) {
-            Graph g = cw.workload->build(p);
-            PnrResult pnr = placeAndRoute(g, topo, popts);
-            if (pnr.success) {
-                cw.graph = std::move(g);
-                cw.pnr = std::move(pnr);
-                cw.parallelism = p;
-                verifyOrDie(cw);
-                return cw;
-            }
-        }
+    auto build = [&](int p) { return cw.workload->build(p); };
+    // Hand-tuned degree with back-off (paper Sec. 6), or the
+    // automatic ramp (tc, ad, ic, vww in the paper).
+    AutoParResult compiled =
+        preferred > 0
+            ? compileWithBackoff(build, topo, preferred, popts)
+            : compileWithAutoParallelism(build, topo, popts);
+    if (!compiled.pnr.success)
         fatal(name, " does not fit ", topo.name(),
               " even at parallelism 1");
-    }
-
-    // Automatic ramp (tc, ad, ic, vww in the paper).
-    AutoParResult auto_par = compileWithAutoParallelism(
-        [&](int p) { return cw.workload->build(p); }, topo, popts);
-    cw.graph = std::move(auto_par.graph);
-    cw.pnr = std::move(auto_par.pnr);
-    cw.parallelism = auto_par.parallelism;
+    cw.graph = std::move(compiled.graph);
+    cw.pnr = std::move(compiled.pnr);
+    cw.parallelism = compiled.parallelism;
     verifyOrDie(cw);
     return cw;
 }

@@ -24,21 +24,19 @@ main(int argc, char **argv)
     wl->init(layout);
 
     Topology topo = Topology::makeMonaco(12, 12);
-    int p = wl->preferredParallelism() > 0 ? wl->preferredParallelism()
-                                           : 4;
-    Graph graph = wl->build(p);
-    PnrResult pnr = placeAndRoute(graph, topo);
-    while (!pnr.success && p > 1) {
-        p /= 2;
-        graph = wl->build(p);
-        pnr = placeAndRoute(graph, topo);
-    }
+    int preferred = wl->preferredParallelism() > 0
+                        ? wl->preferredParallelism()
+                        : 4;
+    AutoParResult compiled = compileWithBackoff(
+        [&](int p) { return wl->build(p); }, topo, preferred);
+    const Graph &graph = compiled.graph;
+    const PnrResult &pnr = compiled.pnr;
     if (!pnr.success) {
         std::printf("PnR failed: %s\n", pnr.failureReason.c_str());
         return 1;
     }
-    std::printf("%s at parallelism %d on %s\n\n", name.c_str(), p,
-                topo.name().c_str());
+    std::printf("%s at parallelism %d on %s\n\n", name.c_str(),
+                compiled.parallelism, topo.name().c_str());
 
     auto time_model = [&](MemModel model, int lat) {
         BackingStore store(MemSysConfig{}.memBytes);

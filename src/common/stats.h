@@ -3,7 +3,7 @@
  * Lightweight statistics registry.
  *
  * Simulator components register named scalar counters and distributions
- * with a StatSet; harnesses print or export them after a run.
+ * with a StatSet; harnesses export them after a run.
  */
 
 #ifndef NUPEA_COMMON_STATS_H
@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
+#include <utility>
 
 namespace nupea
 {
@@ -38,14 +38,6 @@ class Distribution
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
-
-    /** Forget all samples. */
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = min_ = max_ = 0.0;
-    }
 
   private:
     std::uint64_t count_ = 0;
@@ -84,19 +76,6 @@ class StatSet
     {
         return dists_;
     }
-
-    /** Reset every counter and distribution to zero. */
-    void
-    reset()
-    {
-        for (auto &kv : counters_)
-            kv.second = 0;
-        for (auto &kv : dists_)
-            kv.second.reset();
-    }
-
-    /** Human-readable dump, one stat per line. */
-    void print(std::ostream &os, const std::string &prefix = "") const;
 
   private:
     std::map<std::string, std::uint64_t> counters_;

@@ -66,4 +66,19 @@ compileWithAutoParallelism(const GraphFactory &factory,
     return best;
 }
 
+AutoParResult
+compileWithBackoff(const GraphFactory &factory, const Topology &topo,
+                   int preferred, const PnrOptions &options)
+{
+    AutoParResult last;
+    for (int p = preferred; p >= 1; p /= 2) {
+        last.parallelism = p;
+        last.graph = factory(p);
+        last.pnr = placeAndRoute(last.graph, topo, options);
+        if (last.pnr.success)
+            break;
+    }
+    return last;
+}
+
 } // namespace nupea

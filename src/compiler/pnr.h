@@ -1,9 +1,10 @@
 /**
  * @file
  * Place-and-route driver: criticality analysis, placement, routing,
- * timing, plus the automatic-parallelization ramp (paper Sec. 5:
- * "the compiler iteratively increases the parallelism degree until
- * PnR fails").
+ * timing, plus the two degree policies: the automatic-parallelization
+ * ramp (paper Sec. 5: "the compiler iteratively increases the
+ * parallelism degree until PnR fails") and the back-off from a
+ * hand-tuned degree (paper Sec. 6).
  */
 
 #ifndef NUPEA_COMPILER_PNR_H
@@ -52,7 +53,7 @@ PnrResult placeAndRoute(Graph &graph, const Topology &topo,
 /** Builds a workload DFG at a given parallelism degree. */
 using GraphFactory = std::function<Graph(int parallelism)>;
 
-/** Result of the parallelism ramp. */
+/** Result of the parallelism ramp or back-off. */
 struct AutoParResult
 {
     int parallelism = 1;
@@ -69,6 +70,16 @@ struct AutoParResult
 AutoParResult compileWithAutoParallelism(
     const GraphFactory &factory, const Topology &topo,
     const PnrOptions &options = PnrOptions{}, int max_parallelism = 64);
+
+/**
+ * Compile at the hand-tuned degree `preferred`, halving it while PnR
+ * fails (preferred, preferred / 2, ..., 1), and return the last
+ * attempt. `pnr.success` is false only when degree 1 failed too; the
+ * caller decides how to report that.
+ */
+AutoParResult compileWithBackoff(const GraphFactory &factory,
+                                 const Topology &topo, int preferred,
+                                 const PnrOptions &options = PnrOptions{});
 
 } // namespace nupea
 

@@ -117,20 +117,6 @@ struct Net
 
 } // namespace
 
-double
-RouteResult::maxUtilization() const
-{
-    double max_util = 0.0;
-    for (std::size_t i = 0; i < linkUsage.size(); ++i) {
-        if (linkCapacity[i] > 0) {
-            max_util = std::max(
-                max_util, static_cast<double>(linkUsage[i]) /
-                              static_cast<double>(linkCapacity[i]));
-        }
-    }
-    return max_util;
-}
-
 RouteResult
 routeGraph(const Graph &graph, const Topology &topo,
            const Placement &placement, const RouterOptions &options)

@@ -69,9 +69,6 @@ struct RouteResult
     /** Final per-link usage and capacity (same indexing). */
     std::vector<int> linkUsage;
     std::vector<int> linkCapacity;
-
-    /** Highest usage/capacity ratio across links (1.0 = full). */
-    double maxUtilization() const;
 };
 
 /**

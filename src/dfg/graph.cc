@@ -1,7 +1,5 @@
 #include "dfg/graph.h"
 
-#include <sstream>
-
 #include "common/log.h"
 
 namespace nupea
@@ -129,83 +127,6 @@ Graph::countFu(FuClass fu) const
             ++count;
     }
     return count;
-}
-
-std::size_t
-Graph::countCrit(Criticality c) const
-{
-    std::size_t count = 0;
-    for (const Node &n : nodes_) {
-        if (n.crit == c)
-            ++count;
-    }
-    return count;
-}
-
-std::string
-Graph::toDot() const
-{
-    std::ostringstream os;
-    os << "digraph dfg {\n  rankdir=TB;\n";
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node &n = nodes_[id];
-        os << "  n" << id << " [label=\"" << id << ":" << opName(n.op);
-        if (!n.name.empty())
-            os << "\\n" << n.name;
-        if (n.crit != Criticality::None)
-            os << "\\n[" << criticalityName(n.crit) << "]";
-        os << "\"";
-        if (opTraits(n.op).isMemory)
-            os << ", shape=box";
-        if (n.crit == Criticality::Critical)
-            os << ", color=red";
-        os << "];\n";
-    }
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node &n = nodes_[id];
-        for (std::size_t p = 0; p < n.inputs.size(); ++p) {
-            const InputConn &in = n.inputs[p];
-            if (!in.isImm && in.src != kInvalidId) {
-                os << "  n" << in.src << " -> n" << id << " [label=\"" << p
-                   << "\"];\n";
-            }
-        }
-    }
-    os << "}\n";
-    return os.str();
-}
-
-std::string
-Graph::toText() const
-{
-    std::ostringstream os;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node &n = nodes_[id];
-        os << id << "\t" << opName(n.op);
-        if (n.op == Op::Source)
-            os << " #" << n.imm;
-        os << "\t[";
-        for (std::size_t p = 0; p < n.inputs.size(); ++p) {
-            if (p)
-                os << ", ";
-            const InputConn &in = n.inputs[p];
-            if (in.isImm)
-                os << "#" << in.imm;
-            else if (in.src == kInvalidId)
-                os << "?";
-            else
-                os << in.src;
-        }
-        os << "]";
-        if (n.loopDepth)
-            os << "\tL" << n.loop << "/d" << int(n.loopDepth);
-        if (n.crit != Criticality::None)
-            os << "\t" << criticalityName(n.crit);
-        if (!n.name.empty())
-            os << "\t; " << n.name;
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace nupea

@@ -148,15 +148,6 @@ class Graph
     /** Count nodes requiring a given FU class. */
     std::size_t countFu(FuClass fu) const;
 
-    /** Count memory nodes with the given criticality class. */
-    std::size_t countCrit(Criticality c) const;
-
-    /** Graphviz dump for debugging. */
-    std::string toDot() const;
-
-    /** One-line-per-node textual dump. */
-    std::string toText() const;
-
   private:
     std::vector<Node> nodes_;
     std::vector<LoopInfo> loops_;

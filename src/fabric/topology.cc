@@ -50,14 +50,6 @@ Topology::portOf(Coord c) const
     return ls_row * d0Cols_ + (d0Cols_ - 1);
 }
 
-bool
-Topology::portIsShared(int port) const
-{
-    if (numDomains_ <= 1)
-        return false;
-    return port % d0Cols_ == d0Cols_ - 1;
-}
-
 std::size_t
 Topology::totalSlots(FuClass fu) const
 {

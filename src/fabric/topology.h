@@ -166,12 +166,6 @@ class Topology
      */
     int portOf(Coord c) const;
 
-    /**
-     * True if `port` is shared between a D0 LS PE and the row's
-     * domain-1 arbiter (the "every third port" rule, paper Fig. 9).
-     */
-    bool portIsShared(int port) const;
-
     /** Data-NoC tracks per tile edge (routing capacity knob). */
     int dataTracks() const { return dataTracks_; }
 

@@ -70,12 +70,4 @@ CacheModel::access(Addr addr, bool is_store)
     return result;
 }
 
-void
-CacheModel::reset()
-{
-    for (Line &line : lines_)
-        line = Line{};
-    tick_ = hits_ = misses_ = writebacks_ = 0;
-}
-
 } // namespace nupea

@@ -64,9 +64,6 @@ class CacheModel
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }
 
-    /** Drop all cached lines and reset stats. */
-    void reset();
-
   private:
     struct Line
     {

@@ -48,12 +48,4 @@ MemorySystem::access(Addr addr, bool is_store, Word store_data,
     return result;
 }
 
-void
-MemorySystem::reset()
-{
-    std::fill(bankFree_.begin(), bankFree_.end(), 0);
-    cache_.reset();
-    stats_.reset();
-}
-
 } // namespace nupea

@@ -77,9 +77,6 @@ class MemorySystem
     const MemSysConfig &config() const { return config_; }
     StatSet &stats() { return stats_; }
 
-    /** Clear bank occupancy, cache contents, and stats. */
-    void reset();
-
   private:
     MemSysConfig config_;
     BackingStore &store_;

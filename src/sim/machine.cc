@@ -62,9 +62,8 @@ Machine::Machine(const Graph &graph, const Placement &placement,
                  "watchdog bound too large for packed token cycles");
     attrOn_ = config_.stallAttribution;
 
-    MemModelConfig mm = config_.mem;
-    mm.clockDivider = config_.clockDivider;
-    memModel_ = makeMemAccessModel(mm, topo_, memsys_);
+    memModel_ = makeMemAccessModel(config_.mem, config_.clockDivider,
+                                   topo_, memsys_);
 
     buildDispatchTables();
 
@@ -294,7 +293,7 @@ Machine::fireProlog(NodeId id, const NodeRow &row)
         result_.energy.compute += row.fireEnergy;
     firedAt_[id] = now_;
     if (config_.trace)
-        config_.trace->onFire(now_, id, opName(row.op), row.coord);
+        config_.trace->onFire(now_, id, opName(row.op));
     // The node may have more queued work next cycle.
     activate(id, now_ + 1);
 }

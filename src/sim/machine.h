@@ -55,7 +55,7 @@
 namespace nupea
 {
 
-class TraceSink;
+class ChromeTraceSink;
 
 /**
  * Why a node did (or did not) fire in one fabric cycle. Every
@@ -131,7 +131,7 @@ struct MachineConfig
      * may be null. Stall begin/end events additionally require
      * stallAttribution; firings and memory events do not.
      */
-    TraceSink *trace = nullptr;
+    ChromeTraceSink *trace = nullptr;
 };
 
 /** Outcome of one simulation. */

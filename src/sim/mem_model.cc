@@ -226,10 +226,11 @@ class MonacoMemModel : public MemAccessModel
 class UpeaMemModel : public MemAccessModel
 {
   public:
-    UpeaMemModel(const MemModelConfig &config, MemorySystem &memsys)
+    UpeaMemModel(const MemModelConfig &config, int clock_divider,
+                 MemorySystem &memsys)
         : memsys_(memsys),
           delaySys_(static_cast<Cycle>(config.upeaLatency) *
-                    static_cast<Cycle>(config.clockDivider))
+                    static_cast<Cycle>(clock_divider))
     {}
 
     MemAccessOutcome
@@ -263,11 +264,11 @@ class UpeaMemModel : public MemAccessModel
 class NumaUpeaMemModel : public MemAccessModel
 {
   public:
-    NumaUpeaMemModel(const MemModelConfig &config, const Topology &topo,
-                     MemorySystem &memsys)
+    NumaUpeaMemModel(const MemModelConfig &config, int clock_divider,
+                     const Topology &topo, MemorySystem &memsys)
         : topo_(topo), memsys_(memsys),
           delaySys_(static_cast<Cycle>(config.upeaLatency) *
-                    static_cast<Cycle>(config.clockDivider)),
+                    static_cast<Cycle>(clock_divider)),
           numaDomains_(config.numaDomains),
           lineBytes_(memsys.config().cache.lineBytes)
     {
@@ -333,8 +334,8 @@ class NumaUpeaMemModel : public MemAccessModel
 } // namespace
 
 std::unique_ptr<MemAccessModel>
-makeMemAccessModel(const MemModelConfig &config, const Topology &topo,
-                   MemorySystem &memsys)
+makeMemAccessModel(const MemModelConfig &config, int clock_divider,
+                   const Topology &topo, MemorySystem &memsys)
 {
     switch (config.model) {
       case MemModel::Monaco:
@@ -344,9 +345,11 @@ makeMemAccessModel(const MemModelConfig &config, const Topology &topo,
         return std::make_unique<MonacoMemModel>(config, topo, memsys,
                                                 true);
       case MemModel::Upea:
-        return std::make_unique<UpeaMemModel>(config, memsys);
+        return std::make_unique<UpeaMemModel>(config, clock_divider,
+                                              memsys);
       case MemModel::NumaUpea:
-        return std::make_unique<NumaUpeaMemModel>(config, topo, memsys);
+        return std::make_unique<NumaUpeaMemModel>(config, clock_divider,
+                                                  topo, memsys);
     }
     fatal("unknown memory model");
 }

@@ -82,8 +82,6 @@ struct MemModelConfig
     /** N for Upea/NumaUpea, in fabric cycles (paper sweeps 0-4). */
     int upeaLatency = 2;
     int numaDomains = 4;
-    /** Fabric clock divider (converts fabric-cycle delays). */
-    int clockDivider = 2;
     /** Seed for the random NUMA domain assignment. */
     std::uint64_t seed = 1;
 };
@@ -109,10 +107,13 @@ class MemAccessModel
     StatSet stats_;
 };
 
-/** Build the model selected by `config`. */
+/**
+ * Build the model selected by `config`. `clock_divider` (fabric
+ * cycles per system cycle) converts the UPEA fabric-cycle delays.
+ */
 std::unique_ptr<MemAccessModel>
-makeMemAccessModel(const MemModelConfig &config, const Topology &topo,
-                   MemorySystem &memsys);
+makeMemAccessModel(const MemModelConfig &config, int clock_divider,
+                   const Topology &topo, MemorySystem &memsys);
 
 } // namespace nupea
 

@@ -5,14 +5,6 @@
 namespace nupea
 {
 
-void
-TextTraceSink::onFire(Cycle fabric_cycle, std::uint32_t node,
-                      std::string_view op, Coord at)
-{
-    os_ << "cycle " << fabric_cycle << " fire " << node << " " << op
-        << " @" << at.str() << "\n";
-}
-
 ChromeTraceSink::ChromeTraceSink(std::ostream &os) : os_(os)
 {
     os_ << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
@@ -79,9 +71,8 @@ ChromeTraceSink::onNodeMeta(std::uint32_t node, std::string_view op,
 
 void
 ChromeTraceSink::onFire(Cycle fabric_cycle, std::uint32_t node,
-                        std::string_view op, Coord at)
+                        std::string_view op)
 {
-    (void)at;
     open();
     os_ << "\"name\": \"fire " << op
         << "\", \"cat\": \"fire\", \"ph\": \"i\", \"s\": \"t\", "

@@ -84,8 +84,6 @@ constexpr DiagInfo kCatalog[kNumDiagIds] = {
      "tile hosts more instructions of an FU class than it has slots"},
     {"place.port-range", Severity::Error,
      "memory instruction's tile maps to an invalid memory port"},
-    {"place.graph-mismatch", Severity::Error,
-     "placed graph is not node-for-node the source graph"},
     {"route.failed", Severity::Error,
      "router gave up with oversubscribed links"},
     {"route.overuse", Severity::Error,
@@ -109,29 +107,6 @@ catalogEntry(DiagId id)
     auto idx = static_cast<int>(id);
     NUPEA_ASSERT(idx >= 0 && idx < kNumDiagIds, "bad DiagId ", idx);
     return kCatalog[idx];
-}
-
-void
-appendJsonString(std::ostringstream &os, std::string_view text)
-{
-    os << '"';
-    for (char ch : text) {
-        switch (ch) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                os << buf;
-            } else {
-                os << ch;
-            }
-        }
-    }
-    os << '"';
 }
 
 } // namespace
@@ -179,12 +154,6 @@ DiagnosticReport::addNode(DiagId id, const Graph &graph, NodeId node,
         d.loop = n.loop;
     }
     diags_.push_back(std::move(d));
-}
-
-void
-DiagnosticReport::addRaw(Diagnostic diag)
-{
-    diags_.push_back(std::move(diag));
 }
 
 std::size_t
@@ -246,36 +215,6 @@ DiagnosticReport::renderText() const
             os << " in loop " << d.loop;
         os << ": " << d.message << '\n';
     }
-    return os.str();
-}
-
-std::string
-DiagnosticReport::renderJson() const
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < diags_.size(); ++i) {
-        const Diagnostic &d = diags_[i];
-        if (i)
-            os << ",";
-        os << "\n  {\"id\": ";
-        appendJsonString(os, diagIdName(d.id));
-        os << ", \"severity\": ";
-        appendJsonString(os, severityName(d.severity));
-        if (d.node != kInvalidId) {
-            os << ", \"node\": " << d.node;
-            if (!d.nodeName.empty()) {
-                os << ", \"name\": ";
-                appendJsonString(os, d.nodeName);
-            }
-        }
-        if (d.loop != kInvalidId)
-            os << ", \"loop\": " << d.loop;
-        os << ", \"message\": ";
-        appendJsonString(os, d.message);
-        os << "}";
-    }
-    os << (diags_.empty() ? "]" : "\n]");
     return os.str();
 }
 

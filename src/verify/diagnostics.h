@@ -6,8 +6,7 @@
  * id (e.g. "rate.back-edge"), a severity, a message, and provenance:
  * the offending node (with its builder debug name when one was set)
  * and, where meaningful, the loop it belongs to. A DiagnosticReport
- * collects them and renders either a human-readable text listing or
- * a machine-readable JSON array.
+ * collects them and renders them as a human-readable text listing.
  *
  * Severity policy: an Error means the graph/placement will hang,
  * drop tokens, or violate a fabric constraint if simulated; a
@@ -78,7 +77,6 @@ enum class DiagId : std::uint8_t
     PlaceMemNonLs,   ///< place.mem-on-non-ls
     PlaceOverCap,    ///< place.fu-capacity
     PlacePortRange,  ///< place.port-range
-    PlaceGraphDiff,  ///< place.graph-mismatch
     RouteFailed,     ///< route.failed
     RouteOveruse,    ///< route.overuse
     RouteMissingNet, ///< route.missing-net
@@ -129,9 +127,6 @@ class DiagnosticReport
     void addNode(DiagId id, const Graph &graph, NodeId node,
                  std::string message);
 
-    /** Append a fully specified finding. */
-    void addRaw(Diagnostic diag);
-
     const std::vector<Diagnostic> &diags() const { return diags_; }
     bool empty() const { return diags_.empty(); }
     std::size_t errorCount() const;
@@ -149,13 +144,10 @@ class DiagnosticReport
 
     /**
      * Human-readable listing, one finding per line:
-     *   error[rate.back-edge] node 7 'phi0' (merge) in loop 2: ...
+     *   error[rate.back-edge] node 7 'phi0' in loop 2: ...
      * Empty string when there are no findings.
      */
     std::string renderText() const;
-
-    /** JSON array of findings (id, severity, message, node, ...). */
-    std::string renderJson() const;
 
   private:
     std::vector<Diagnostic> diags_;

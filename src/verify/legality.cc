@@ -178,47 +178,4 @@ checkRouting(const Graph &graph, const Topology &topo,
     }
 }
 
-void
-checkGraphMatch(const Graph &source, const Graph &placed,
-                DiagnosticReport &report)
-{
-    if (source.numNodes() != placed.numNodes()) {
-        report.add(DiagId::PlaceGraphDiff,
-                   formatMessage("placed graph has ", placed.numNodes(),
-                                 " nodes; source graph has ",
-                                 source.numNodes()));
-        return;
-    }
-    for (NodeId id = 0; id < source.numNodes(); ++id) {
-        const Node &a = source.node(id);
-        const Node &b = placed.node(id);
-        if (a.op != b.op) {
-            report.addNode(DiagId::PlaceGraphDiff, placed, id,
-                           formatMessage("opcode changed from ",
-                                         opName(a.op), " to ",
-                                         opName(b.op)));
-            return;
-        }
-        if (a.inputs.size() != b.inputs.size()) {
-            report.addNode(DiagId::PlaceGraphDiff, placed, id,
-                           formatMessage(opName(a.op),
-                                         " input count changed from ",
-                                         a.inputs.size(), " to ",
-                                         b.inputs.size()));
-            return;
-        }
-        for (std::size_t p = 0; p < a.inputs.size(); ++p) {
-            const InputConn &ia = a.inputs[p];
-            const InputConn &ib = b.inputs[p];
-            if (ia.isImm != ib.isImm || ia.src != ib.src ||
-                (ia.isImm && ia.imm != ib.imm)) {
-                report.addNode(DiagId::PlaceGraphDiff, placed, id,
-                               formatMessage(opName(a.op), " port ", p,
-                                             " wiring changed"));
-                return;
-            }
-        }
-    }
-}
-
 } // namespace nupea

@@ -12,9 +12,7 @@
  *    memory port inside the fabric's port range (D0 direct ports and
  *    shared arbiter ports alike);
  *  - every inter-tile dataflow edge covered by a routed net, no net
- *    that matches no edge, and no link used beyond its track budget;
- *  - the placed graph is node-for-node the graph that was built
- *    (PnR only annotates criticality; any other drift is a bug).
+ *    that matches no edge, and no link used beyond its track budget.
  */
 
 #ifndef NUPEA_VERIFY_LEGALITY_H
@@ -36,11 +34,6 @@ void checkPlacement(const Graph &graph, const Topology &topo,
 void checkRouting(const Graph &graph, const Topology &topo,
                   const Placement &placement, const RouteResult &route,
                   DiagnosticReport &report);
-
-/** Check `placed` is node-for-node `source` modulo criticality
- *  annotations (place.graph-mismatch). */
-void checkGraphMatch(const Graph &source, const Graph &placed,
-                     DiagnosticReport &report);
 
 } // namespace nupea
 

@@ -30,21 +30,14 @@ verifyGraph(const Graph &graph)
 
 DiagnosticReport
 verifyCompiled(const Graph &graph, const Topology &topo,
-               const Placement &placement, const RouteResult &route)
+               const PnrResult &pnr)
 {
     DiagnosticReport report = verifyGraph(graph);
     if (wiringSound(report)) {
-        checkPlacement(graph, topo, placement, report);
-        checkRouting(graph, topo, placement, route, report);
+        checkPlacement(graph, topo, pnr.placement, report);
+        checkRouting(graph, topo, pnr.placement, pnr.route, report);
     }
     return report;
-}
-
-DiagnosticReport
-verifyCompiled(const Graph &graph, const Topology &topo,
-               const PnrResult &pnr)
-{
-    return verifyCompiled(graph, topo, pnr.placement, pnr.route);
 }
 
 } // namespace nupea

@@ -33,14 +33,9 @@ namespace nupea
 DiagnosticReport verifyGraph(const Graph &graph);
 
 /**
- * Verify a compiled graph: everything verifyGraph checks, plus
- * placement and routing legality against `topo`.
+ * Verify a compiled graph: everything verifyGraph checks, plus the
+ * placement and routing legality of `pnr` against `topo`.
  */
-DiagnosticReport verifyCompiled(const Graph &graph, const Topology &topo,
-                                const Placement &placement,
-                                const RouteResult &route);
-
-/** Convenience overload over a whole PnR result. */
 DiagnosticReport verifyCompiled(const Graph &graph, const Topology &topo,
                                 const PnrResult &pnr);
 

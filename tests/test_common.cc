@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -136,28 +135,6 @@ TEST(Stats, DistributionTracksMoments)
     EXPECT_DOUBLE_EQ(d.mean(), 5.0);
     EXPECT_DOUBLE_EQ(d.min(), 2.0);
     EXPECT_DOUBLE_EQ(d.max(), 9.0);
-}
-
-TEST(Stats, ResetClearsEverything)
-{
-    StatSet stats;
-    stats.counter("x") = 3;
-    stats.dist("d").sample(1.0);
-    stats.reset();
-    EXPECT_EQ(stats.counterValue("x"), 0u);
-    EXPECT_EQ(stats.dist("d").count(), 0u);
-}
-
-TEST(Stats, PrintEmitsAllStats)
-{
-    StatSet stats;
-    stats.counter("foo") = 7;
-    stats.dist("bar").sample(3.0);
-    std::ostringstream os;
-    stats.print(os, "p.");
-    std::string out = os.str();
-    EXPECT_NE(out.find("p.foo 7"), std::string::npos);
-    EXPECT_NE(out.find("p.bar.count 1"), std::string::npos);
 }
 
 TEST(Distribution, EmptyIsZero)

@@ -159,7 +159,7 @@ TEST(HybridNupeaNuma, CountsLocality)
     MemorySystem memsys(MemSysConfig{}, store);
     MemModelConfig cfg;
     cfg.model = MemModel::NupeaNuma;
-    auto model = makeMemAccessModel(cfg, topo, memsys);
+    auto model = makeMemAccessModel(cfg, 2, topo, memsys);
 
     // One access per line-domain from an LS tile in row group 0.
     Coord tile{1, 5};
@@ -179,7 +179,7 @@ TEST(HybridNupeaNuma, LocalBypassesArbitration)
     MemorySystem memsys(MemSysConfig{}, store);
     MemModelConfig cfg;
     cfg.model = MemModel::NupeaNuma;
-    auto model = makeMemAccessModel(cfg, topo, memsys);
+    auto model = makeMemAccessModel(cfg, 2, topo, memsys);
 
     // A far-domain (D3) tile in LS row 0 -> row group 0; line-domain
     // 0 addresses are local.

@@ -362,19 +362,22 @@ TEST(Machine, TraceRecordsFirings)
     fillWords(store, base, {1, 2, 3, 4});
     auto k = buildArraySum(base, 4);
     MachineConfig cfg;
+    ASSERT_FALSE(cfg.stallAttribution);
     std::ostringstream trace;
-    TextTraceSink sink(trace);
+    ChromeTraceSink sink(trace);
     cfg.trace = &sink;
     RunResult r = compileAndRun(k.graph, store, cfg);
+    sink.finish();
     EXPECT_TRUE(r.clean) << r.problem;
     std::string out = trace.str();
-    EXPECT_NE(out.find("fire"), std::string::npos);
-    EXPECT_NE(out.find("load"), std::string::npos);
-    // One line per firing.
-    std::size_t lines = 0;
-    for (char ch : out)
-        lines += (ch == '\n');
-    EXPECT_EQ(lines, r.firings);
+    EXPECT_NE(out.find("\"fire load\""), std::string::npos);
+    // One fire event per firing, even with stall attribution off.
+    std::size_t fires = 0;
+    const std::string_view tag = "\"cat\": \"fire\"";
+    for (std::size_t pos = out.find(tag); pos != std::string::npos;
+         pos = out.find(tag, pos + tag.size()))
+        ++fires;
+    EXPECT_EQ(fires, r.firings);
 }
 
 TEST(Machine, DeterministicAcrossRuns)

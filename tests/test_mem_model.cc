@@ -27,9 +27,8 @@ struct ModelFixture
         MemModelConfig cfg;
         cfg.model = model;
         cfg.upeaLatency = upea_latency;
-        cfg.clockDivider = divider;
         cfg.seed = seed;
-        impl = makeMemAccessModel(cfg, topo, memsys);
+        impl = makeMemAccessModel(cfg, divider, topo, memsys);
     }
 
     /** First LS tile in the given NUPEA domain. */

@@ -145,15 +145,6 @@ TEST(Cache, DirtyEvictionReportsWriteback)
     EXPECT_EQ(cache.writebacks(), 1u);
 }
 
-TEST(Cache, ResetClearsContents)
-{
-    CacheModel cache(CacheConfig{});
-    cache.access(0, false);
-    cache.reset();
-    EXPECT_FALSE(cache.access(0, false).hit);
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
 TEST(MemSys, HitAndMissLatencies)
 {
     BackingStore store(1 << 20);
@@ -219,17 +210,6 @@ TEST(MemSys, PipelinedBankThroughput)
     auto r3 = mem.access(a, false, 0, 102);
     EXPECT_EQ(r2.completeAt, r1.completeAt + 1);
     EXPECT_EQ(r3.completeAt, r2.completeAt + 1);
-}
-
-TEST(MemSys, ResetRestoresColdState)
-{
-    BackingStore store(1 << 20);
-    MemorySystem mem(MemSysConfig{}, store);
-    mem.access(0, false, 0, 0);
-    mem.reset();
-    auto r = mem.access(0, false, 0, 0);
-    EXPECT_FALSE(r.hit);
-    EXPECT_EQ(mem.stats().counterValue("loads"), 1u);
 }
 
 TEST(MemSys, LatencyDistributionRecorded)

@@ -80,11 +80,6 @@ TEST(Monaco, PortAssignment)
     // Second LS row (row 3) uses the next port group.
     EXPECT_EQ(t.portOf({3, 0}), 3);
     EXPECT_EQ(t.portOf({3, 7}), 5);
-    // The shared port is every third one (paper Fig. 9).
-    EXPECT_FALSE(t.portIsShared(0));
-    EXPECT_FALSE(t.portIsShared(1));
-    EXPECT_TRUE(t.portIsShared(2));
-    EXPECT_TRUE(t.portIsShared(5));
 }
 
 TEST(Monaco, FuSlots)
