@@ -5,7 +5,8 @@
  * Two guardrails:
  *  1. Pinned simulated stats (fabric cycles, memory-request counts,
  *     firings, energy totals) for three small workloads under both a
- *     NUPEA-unaware and the full effcc PlaceMode — any change to the
+ *     NUPEA-unaware and the full effcc PlaceMode, on Monaco and on
+ *     the UPEA2 and NUMA-UPEA2 baselines — any change to the
  *     simulator, compiler, or the harness's new image-cloning run
  *     path shows up as an exact-number diff here.
  *  2. Serial-vs-parallel equivalence: the same sweep executed with
@@ -28,9 +29,19 @@ namespace
 
 using namespace nupea::bench;
 
+/** One UPEA baseline's run of a Golden compilation. The doubles are
+ *  exact: the memory energy is a sum of small integers. */
+struct BaselineGolden
+{
+    Cycle fabricCycles;
+    double energyMemory;
+};
+
 /** Pinned per-(workload, mode) simulated results on monaco-12x12
- *  under primaryConfig(Monaco, 0). Regenerate by printing the four
- *  stats from a fresh run if an *intentional* model change lands. */
+ *  under primaryConfig(Monaco, 0), and of the same compilation under
+ *  UPEA2 and NUMA-UPEA2 (same requests and firings). Regenerate by
+ *  printing the stats from a fresh run (%.17g for the doubles) if an
+ *  *intentional* model change lands. */
 struct Golden
 {
     const char *name;
@@ -39,18 +50,22 @@ struct Golden
     std::uint64_t memRequests; ///< loads + stores
     std::uint64_t firings;
     double energyTotal;
+    BaselineGolden upea2, numaUpea2;
 };
 
 const Golden kGolden[] = {
-    {"dmv", PlaceMode::DomainUnaware, 673, 3240, 24552, 77521.6},
-    {"dmv", PlaceMode::CriticalityAware, 607, 3240, 24552, 77459.2},
-    {"spmspv", PlaceMode::DomainUnaware, 5466, 8276, 69633, 210769.5},
+    {"dmv", PlaceMode::DomainUnaware, 673, 3240, 24552, 77521.6,
+     {658, 17775}, {644, 16187}},
+    {"dmv", PlaceMode::CriticalityAware, 607, 3240, 24552, 77459.2,
+     {658, 17775}, {661, 16241}},
+    {"spmspv", PlaceMode::DomainUnaware, 5466, 8276, 69633, 210769.5,
+     {4933, 43270}, {4891, 38734}},
     {"spmspv", PlaceMode::CriticalityAware, 3900, 8276, 69633,
-     229714.3},
+     229714.3, {4933, 43270}, {4877, 38820}},
     {"mergesort", PlaceMode::DomainUnaware, 2102, 1077, 18781,
-     56903.6},
+     56903.6, {2152, 5505}, {2103, 4971}},
     {"mergesort", PlaceMode::CriticalityAware, 1729, 1077, 18781,
-     54532.2},
+     54532.2, {2152, 5505}, {2115, 4953}},
 };
 
 TEST(GoldenStats, PinnedWorkloadNumbers)
@@ -69,6 +84,19 @@ TEST(GoldenStats, PinnedWorkloadNumbers)
         EXPECT_EQ(r.loads + r.stores, g.memRequests) << ctx;
         EXPECT_EQ(r.firings, g.firings) << ctx;
         EXPECT_NEAR(r.energy.total(), g.energyTotal, 1e-3) << ctx;
+
+        const std::pair<MemModel, const BaselineGolden &> baselines[] = {
+            {MemModel::Upea, g.upea2}, {MemModel::NumaUpea, g.numaUpea2}};
+        for (const auto &[model, want] : baselines) {
+            BenchRun b = runCompiled(cw, primaryConfig(model, 2));
+            std::string bctx = formatMessage(
+                ctx, model == MemModel::Upea ? "/upea2" : "/numa-upea2");
+            EXPECT_TRUE(b.verified) << bctx;
+            EXPECT_EQ(b.fabricCycles, want.fabricCycles) << bctx;
+            EXPECT_EQ(b.loads + b.stores, g.memRequests) << bctx;
+            EXPECT_EQ(b.firings, g.firings) << bctx;
+            EXPECT_EQ(b.energy.memory, want.energyMemory) << bctx;
+        }
     }
 }
 
