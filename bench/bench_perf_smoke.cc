@@ -33,7 +33,9 @@
  *  - the pure outputs placer_single_cost, predicted_system_cycles_sum
  *    and router_iterations must each equal the baseline's at the
  *    precision the json holds (a baseline without a key skips that
- *    check with a note);
+ *    check with a note; a pinned 0 is compared like any value);
+ *  - every point's fabric_cycles and firings must equal the
+ *    baseline's row of the same label (bench/perf_guard.h);
  *  - total firings_per_sec more than 25% below the baseline's fails
  *    (a baseline without the key fails too);
  *  - analyzer_points_per_sec, placer_points_per_sec and
@@ -66,6 +68,7 @@
 
 #include "analysis/perf_model.h"
 #include "analysis/profile.h"
+#include "bench/perf_guard.h"
 #include "bench/sweep_runner.h"
 
 namespace
@@ -128,64 +131,6 @@ readBaselineText(const std::string &path, std::string &text)
 }
 
 /**
- * Pull `"<key>": <number>` out of a baseline json by its LAST
- * occurrence — for "firings_per_sec" that is the "total" object's
- * copy, not a per-workload one. Keys the baseline predates (e.g.
- * "analyzer_points_per_sec") simply return false.
- */
-bool
-readBaselineValue(const std::string &text, const char *key,
-                  double &value)
-{
-    std::string needle = std::string("\"") + key + "\":";
-    std::size_t pos = text.rfind(needle);
-    if (pos == std::string::npos)
-        return false;
-    value = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-    return value > 0.0;
-}
-
-/**
- * A pure output of the run: a function of the code and the seeds
- * alone, so any difference from the baseline is changed behaviour,
- * not host noise. `format` is the precision the json writes it at.
- */
-struct ExactCheck
-{
-    const char *key;     ///< baseline json key (last occurrence)
-    const char *format;  ///< printf format of the json value
-    const char *changed; ///< what a mismatch means
-    double measured;     ///< this run's value
-};
-
-/** Report one exact check; false when it fails the guard. */
-bool
-passesExactCheck(const ExactCheck &check, const std::string &baselineText)
-{
-    double baseline_value = 0.0;
-    if (!readBaselineValue(baselineText, check.key, baseline_value)) {
-        std::printf("perf guard: baseline has no %s; skipping its "
-                    "check\n",
-                    check.key);
-        return true;
-    }
-    char baseline[64], measured[64];
-    std::snprintf(baseline, sizeof baseline, check.format,
-                  baseline_value);
-    std::snprintf(measured, sizeof measured, check.format,
-                  check.measured);
-    std::printf("perf guard: %s baseline %s, measured %s\n", check.key,
-                baseline, measured);
-    if (std::strtod(measured, nullptr) != baseline_value) {
-        warn("perf guard: ", check.key, " ", measured,
-             " differs from the baseline's ", baseline, "; ",
-             check.changed);
-        return false;
-    }
-    return true;
-}
-
-/**
  * A committed-baseline throughput gate: baseline / measured is the
  * cost ratio, and a ratio above `limit` fails the guard. The sweep
  * gate (no `name`) requires its key; the named per-layer gates skip
@@ -208,7 +153,8 @@ passesGate(const ThroughputGate &gate, const std::string &baselineText,
            const std::string &baselinePath)
 {
     double baseline = 0.0;
-    if (!readBaselineValue(baselineText, gate.key, baseline)) {
+    if (!readBaselineValue(baselineText, gate.key, baseline) ||
+        baseline <= 0.0) {
         if (gate.name == nullptr) {
             warn("perf guard: baseline ", baselinePath, " has no ",
                  gate.key);
@@ -628,6 +574,8 @@ main(int argc, char **argv)
             if (!passesExactCheck(check, baseline_text))
                 return 1;
         }
+        if (!passesPointChecks(serial.points, baseline_text))
+            return 1;
 
         // Throughput gates. The analyzer must stay fast enough that
         // pruning a sweep is always cheaper than simulating it. The

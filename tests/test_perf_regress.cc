@@ -20,10 +20,14 @@
  *     per-reason cycle counts partition the fabric-cycle timeline
  *     exactly (sum over reasons == fabricCycles), which is the
  *     invariant the incremental span-closing path must maintain.
+ *
+ * The exact checks of `bench_perf_smoke --guard` (bench/perf_guard.h)
+ * are tested here too, on synthetic baselines with no wall clock.
  */
 
 #include <gtest/gtest.h>
 
+#include "bench/perf_guard.h"
 #include "bench/sweep_runner.h"
 
 namespace nupea
@@ -141,6 +145,67 @@ TEST(PerfRegress, PerNodeStallCyclesPartitionTheTimeline)
                 << name << " node " << id;
         }
     }
+}
+
+TEST(PerfGuard, ExactCheckComparesAPinnedZero)
+{
+    // A pure output pinned at 0 is a value to compare, not a missing
+    // key to skip.
+    const std::string baseline = R"({"router": {"router_iterations": 0}})";
+    const ExactCheck check{"router_iterations", "%.0f",
+                           "the router's negotiation changed", 6.0};
+    ::testing::internal::CaptureStderr();
+    bool passed = passesExactCheck(check, baseline);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(passed);
+    EXPECT_NE(err.find("router_iterations 6 differs from the baseline's 0"),
+              std::string::npos)
+        << err;
+
+    // A baseline that predates the key still skips its check.
+    EXPECT_TRUE(passesExactCheck(check, R"({"router": {}})"));
+}
+
+TEST(PerfGuard, PointChecksNameTheFirstDifferingPoint)
+{
+    const std::string baseline = R"({"points": [
+    {"label": "dmv/monaco", "wall_seconds": 0.002, "fabric_cycles": 607, "firings": 24552},
+    {"label": "dmv/upea1", "wall_seconds": 0.002, "fabric_cycles": 602, "firings": 24552}
+  ]})";
+    auto point = [](const char *label, Cycle fabric, std::uint64_t fires) {
+        PointResult p;
+        p.label = label;
+        p.run.fabricCycles = fabric;
+        p.run.firings = fires;
+        return p;
+    };
+    auto verdict = [&](const std::vector<PointResult> &points) {
+        ::testing::internal::CaptureStderr();
+        bool passed = passesPointChecks(points, baseline);
+        std::string err = ::testing::internal::GetCapturedStderr();
+        return passed ? std::string("pass") : err;
+    };
+
+    EXPECT_EQ(verdict({point("dmv/monaco", 607, 24552),
+                       point("dmv/upea1", 602, 24552)}),
+              "pass");
+    std::string err = verdict({point("dmv/monaco", 607, 24552),
+                               point("dmv/upea1", 602, 24553)});
+    EXPECT_NE(err.find("point dmv/upea1 firings 24553 differs from the "
+                       "baseline's 24552"),
+              std::string::npos)
+        << err;
+    err = verdict({point("dmv/monaco", 608, 24552)});
+    EXPECT_NE(err.find("point dmv/monaco fabric_cycles 608"),
+              std::string::npos)
+        << err;
+    err = verdict({point("dmv/upea2", 658, 24552)});
+    EXPECT_NE(err.find("baseline has no fabric_cycles for point dmv/upea2"),
+              std::string::npos)
+        << err;
+
+    // A baseline without per-point rows skips the checks.
+    EXPECT_TRUE(passesPointChecks({point("dmv/monaco", 1, 1)}, "{}"));
 }
 
 } // namespace
