@@ -1,7 +1,7 @@
 /**
  * @file
  * Every memory-model comparison over the 13-workload suite on Monaco
- * 12x12, from one compilation per workload and one sweep of 12
+ * 12x12, from one compilation per workload and one sweep of 11
  * machine configs per workload:
  *
  *  - Fig. 6c: spmspv on an idealized 0-cycle UPEA fabric, a practical
@@ -17,10 +17,6 @@
  *  - Extension, energy: per-workload data-movement energy (abstract
  *    units) and energy-delay product, Monaco versus UPEA2. NUPEA's
  *    shorter fabric-memory paths for hot loads also cut energy.
- *  - Extension, hybrid: non-uniformity in both dimensions (paper
- *    Sec. 3). NupeaNuma keeps Monaco's NoC but banks memory into
- *    per-LS-row-group slices whose local accesses skip arbitration;
- *    with line-interleaved data, 1/4 of accesses become local.
  *
  * Sweep points run concurrently (--jobs N / NUPEA_BENCH_JOBS);
  * results are identical for any job count. Exits 1 when any
@@ -40,12 +36,11 @@ using namespace nupea::bench;
 constexpr int kMaxLatency = 4;
 
 /** Config offsets within each workload's kPerApp sweep points:
- *  Monaco, UPEA0..4, NUMA-UPEA0..4, then NUPEA+NUMA. */
+ *  Monaco, UPEA0..4, then NUMA-UPEA0..4. */
 constexpr std::size_t kMonaco = 0;
 constexpr std::size_t kUpea0 = 1;
 constexpr std::size_t kNuma0 = kUpea0 + kMaxLatency + 1;
-constexpr std::size_t kHybrid = kNuma0 + kMaxLatency + 1;
-constexpr std::size_t kPerApp = kHybrid + 1;
+constexpr std::size_t kPerApp = kNuma0 + kMaxLatency + 1;
 
 /** The sweep, indexed by (workload, config offset). */
 struct MemModelSweep
@@ -199,34 +194,6 @@ printEnergy(const MemModelSweep &s)
                 "in the runtime advantage)\n");
 }
 
-void
-printHybrid(const MemModelSweep &s)
-{
-    std::printf("Extension: Monaco vs hybrid NUPEA+NUMA memory "
-                "(normalized to Monaco)\n\n");
-    printRow("app", {"Monaco", "NUPEA+NUMA", "local%"});
-
-    std::vector<double> ratios;
-    for (std::size_t i = 0; i < s.compiled.size(); ++i) {
-        const BenchRun &hybrid = s.at(i, kHybrid);
-        double local = static_cast<double>(
-            hybrid.stats.counterValue("fmnoc.local_accesses"));
-        double remote = static_cast<double>(
-            hybrid.stats.counterValue("fmnoc.remote_accesses"));
-        double frac =
-            local + remote > 0 ? local / (local + remote) : 0.0;
-
-        ratios.push_back(s.normalized(i, kHybrid));
-        printRow(s.compiled[i].workload->name(),
-                 {fmt(1.0), fmt(ratios.back()), fmt(100.0 * frac, 1)});
-    }
-
-    std::printf("\n");
-    printRow("geomean", {fmt(1.0), fmt(geomean(ratios)), ""});
-    std::printf("\n(< 1.0 means the hybrid is faster; locality is "
-                "placement-oblivious line interleaving)\n");
-}
-
 } // namespace
 
 int
@@ -255,8 +222,6 @@ main(int argc, char **argv)
             rspecs.push_back({&cw, primaryConfig(MemModel::NumaUpea, n),
                               formatMessage(app, "/numa-upea", n)});
         }
-        rspecs.push_back({&cw, primaryConfig(MemModel::NupeaNuma, 0),
-                          app + "/nupea+numa"});
     }
     SweepResult sweep = runSweep(runner, rspecs);
     const MemModelSweep s{compiled, sweep};
@@ -275,7 +240,5 @@ main(int argc, char **argv)
                       "NUMA-UPEA3 ~1.44x, NUMA-UPEA4 ~1.68x Monaco");
     std::printf("\n");
     printEnergy(s);
-    std::printf("\n");
-    printHybrid(s);
     return printSweepFooter(sweep) == 0 ? 0 : 1;
 }

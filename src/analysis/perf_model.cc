@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/log.h"
-#include "common/rng.h"
 #include "common/scc.h"
 
 namespace nupea
@@ -14,18 +13,18 @@ namespace nupea
 namespace
 {
 
-/** Accesses of `m` whose line index is ≡ residue (mod divisor).
- *  Exact when divisor divides kLineGroups; uniform fallback else. */
+/** Accesses of `m` to lines local to NUMA group `group`. Exact when
+ *  the group count divides kLineGroups; uniform fallback else. */
 double
-groupCount(const MemNodeProfile &m, int residue, int divisor)
+localCount(const MemNodeProfile &m, const MemPath &path, int group)
 {
-    if (divisor <= 1)
-        return static_cast<double>(m.accesses);
-    if (kLineGroups % divisor != 0)
-        return static_cast<double>(m.accesses) / divisor;
+    if (kLineGroups % path.numaDomains() != 0)
+        return static_cast<double>(m.accesses) / path.numaDomains();
     std::uint64_t count = 0;
-    for (int g = residue; g < kLineGroups; g += divisor)
-        count += m.lineGroup[static_cast<std::size_t>(g)];
+    for (int g = 0; g < kLineGroups; ++g) {
+        if (path.localLine(static_cast<std::uint64_t>(g), group))
+            count += m.lineGroup[static_cast<std::size_t>(g)];
+    }
     return static_cast<double>(count);
 }
 
@@ -143,12 +142,11 @@ predictPerformance(const Graph &graph, const Placement &placement,
     const std::size_t n = graph.numNodes();
     NUPEA_ASSERT(profile.fires.size() == n && profile.memNodes.size() == n,
                  "profile does not match the graph");
-    const double div = std::max(1, config.clockDivider);
+    const int divider = std::max(1, config.clockDivider);
+    const double div = divider;
     const int max_outstanding = std::max(1, config.maxOutstanding);
-    const int numa_domains = std::max(1, config.mem.numaDomains);
     const int line_bytes = std::max(1, config.memsys.cache.lineBytes);
-    const bool arbitrated = config.mem.model == MemModel::Monaco ||
-                            config.mem.model == MemModel::NupeaNuma;
+    const MemPath path(config.mem, divider, topo, line_bytes);
 
     PerfPrediction pred;
 
@@ -175,29 +173,13 @@ predictPerformance(const Graph &graph, const Placement &placement,
             static_cast<double>(config.memsys.cacheHitLatency +
                                 config.memsys.mainMemLatency);
 
-    // --- NUMA-UPEA PE-domain assignment (replicated exactly) -------
-    std::vector<int> pe_domain;
-    if (config.mem.model == MemModel::NumaUpea) {
-        Rng rng(config.mem.seed);
-        pe_domain.assign(static_cast<std::size_t>(topo.numTiles()), 0);
-        for (int idx = 0; idx < topo.numTiles(); ++idx) {
-            if (topo.isLs(topo.tileCoord(idx)))
-                pe_domain[static_cast<std::size_t>(idx)] =
-                    static_cast<int>(rng.below(
-                        static_cast<std::uint64_t>(numa_domains)));
-        }
-    }
-
     // --- Per-memory-node access latency + port/bank loads ----------
     std::vector<double> access_fab(n, 0.0); ///< per-access, fabric cyc
     std::vector<double> remote(n, 0.0);     ///< non-local access count
     std::vector<double> port_load(
-        arbitrated ? static_cast<std::size_t>(topo.memPorts()) : 0, 0.0);
-    std::vector<double> arb_load(
-        arbitrated ? static_cast<std::size_t>(topo.numLsRows() *
-                                              topo.numDomains())
-                   : 0,
+        path.arbitrated() ? static_cast<std::size_t>(topo.memPorts()) : 0,
         0.0);
+    std::vector<double> arb_load(path.numArbiters(), 0.0);
     std::array<double, kLineGroups> bank_load{};
     const int banks = std::max(1, config.memsys.banks);
     const bool exact_banks = kLineGroups % banks == 0;
@@ -208,51 +190,25 @@ predictPerformance(const Graph &graph, const Placement &placement,
         if (m.accesses == 0)
             continue;
         Coord tile = placement.of(id);
-        double local = 0.0;
-        double net_sys = 0.0;
-        switch (config.mem.model) {
-          case MemModel::Monaco: {
-            int domain = topo.domainOf(tile);
-            NUPEA_ASSERT(domain >= 0, "memory node off an LS tile");
-            net_sys = 2.0 * domain;
-            break;
-          }
-          case MemModel::NupeaNuma: {
-            int domain = topo.domainOf(tile);
-            NUPEA_ASSERT(domain >= 0, "memory node off an LS tile");
-            int row_group = topo.lsRowIndex(tile.row) * numa_domains /
-                            topo.numLsRows();
-            local = groupCount(m, row_group, numa_domains);
-            double frac =
-                local / static_cast<double>(m.accesses);
-            net_sys = (1.0 - frac) * 2.0 * domain;
-            break;
-          }
-          case MemModel::Upea:
-            net_sys = config.mem.upeaLatency * div;
-            break;
-          case MemModel::NumaUpea: {
-            int dom = pe_domain[static_cast<std::size_t>(
-                topo.tileIndex(tile))];
-            local = groupCount(m, dom, numa_domains);
-            double frac = local / static_cast<double>(m.accesses);
-            net_sys = (1.0 - frac) * config.mem.upeaLatency * div;
-            break;
-          }
-        }
+        const int stages = path.arbStages(tile);
+        NUPEA_ASSERT(stages >= 0, "memory node off an LS tile");
+        double local =
+            path.grouped() ? localCount(m, path, path.group(tile)) : 0.0;
+        double frac = local / static_cast<double>(m.accesses);
+        // One system cycle per arbiter stage each way, plus the remote
+        // share of the UPEA delay.
+        double net_sys = 2.0 * stages + path.remoteDelay(1.0 - frac);
         remote[id] = static_cast<double>(m.accesses) - local;
         double access_sys = net_sys + bank_sys;
         access_fab[id] = std::max(1.0, access_sys / div);
         latency_weighted += access_sys * static_cast<double>(m.accesses);
 
-        if (arbitrated) {
-            int domain = topo.domainOf(tile);
+        if (path.arbitrated()) {
             int ls_row = topo.lsRowIndex(tile.row);
             port_load[static_cast<std::size_t>(topo.portOf(tile))] +=
                 remote[id];
-            for (int d = 1; d <= domain; ++d)
-                arb_load[static_cast<std::size_t>(
-                    ls_row * topo.numDomains() + d)] += remote[id];
+            for (int d = 1; d <= stages; ++d)
+                arb_load[path.arbIndex(ls_row, d)] += remote[id];
         }
         if (exact_banks) {
             for (int g = 0; g < kLineGroups; ++g)
@@ -456,13 +412,7 @@ predictPerformance(const Graph &graph, const Placement &placement,
 
         const MemNodeProfile &m = profile.memNodes[id];
         if (m.accesses > 0) {
-            double stages;
-            if (config.mem.model == MemModel::Upea ||
-                config.mem.model == MemModel::NumaUpea) {
-                stages = 2.0 * config.mem.upeaLatency;
-            } else {
-                stages = 2.0 * topo.domainOf(placement.of(id));
-            }
+            double stages = path.energyStages(placement.of(id));
             pred.energy.memory +=
                 config.energy.arbHop * stages * remote[id];
             pred.energy.memory +=

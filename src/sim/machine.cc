@@ -457,20 +457,11 @@ Machine::tryFire(NodeId id)
         if (attrOn_)
             nodeMemLatency_[id].sample(
                 static_cast<double>(out.completeAt - issue_sys));
-        // Data-movement energy on the fabric-memory path: one stage
-        // each way per domain crossed (Monaco), or the equivalent
-        // uniform-network cost for the baselines. Local accesses
-        // (NUMA-UPEA / hybrid same-domain hits) bypass the network in
+        // Data-movement energy on the fabric-memory path. Local
+        // accesses (NUMA-UPEA same-group hits) bypass the network in
         // both directions and cross zero stages.
-        double stages;
-        if (out.local) {
-            stages = 0.0;
-        } else if (config_.mem.model == MemModel::Upea ||
-                   config_.mem.model == MemModel::NumaUpea) {
-            stages = 2.0 * config_.mem.upeaLatency;
-        } else {
-            stages = 2.0 * out.domain;
-        }
+        double stages =
+            out.local ? 0.0 : memModel_->path().energyStages(row.coord);
         result_.energy.memory +=
             config_.energy.arbHop * stages +
             (out.hit ? config_.energy.cacheHit

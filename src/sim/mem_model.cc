@@ -3,20 +3,30 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/rng.h"
 
 namespace nupea
 {
 
-std::string_view
-memModelName(MemModel model)
+MemPath::MemPath(const MemModelConfig &config, int clock_divider,
+                 const Topology &topo, int line_bytes)
+    : topo_(topo), arbitrated_(config.model == MemModel::Monaco),
+      networkStages_(arbitrated_ ? 0 : config.upeaLatency),
+      divider_(clock_divider), numaDomains_(config.numaDomains),
+      lineBytes_(line_bytes)
 {
-    switch (model) {
-      case MemModel::Monaco: return "monaco";
-      case MemModel::Upea: return "upea";
-      case MemModel::NumaUpea: return "numa-upea";
-      case MemModel::NupeaNuma: return "nupea+numa";
+    if (config.model != MemModel::NumaUpea)
+        return;
+    if (numaDomains_ < 1)
+        fatal("NUMA-UPEA needs at least one NUMA domain, got ",
+              numaDomains_);
+    Rng rng(config.seed);
+    group_.assign(static_cast<std::size_t>(topo.numTiles()), 0);
+    for (int idx = 0; idx < topo.numTiles(); ++idx) {
+        if (topo.isLs(topo.tileCoord(idx)))
+            group_[static_cast<std::size_t>(idx)] = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(numaDomains_)));
     }
-    return "?";
 }
 
 namespace
@@ -51,18 +61,14 @@ struct Stage
 class MonacoMemModel : public MemAccessModel
 {
   public:
-    MonacoMemModel(const MemModelConfig &config, const Topology &topo,
-                   MemorySystem &memsys, bool hybrid_numa)
-        : topo_(topo), memsys_(memsys), hybridNuma_(hybrid_numa),
-          numaDomains_(std::max(1, config.numaDomains)),
-          lineBytes_(memsys.config().cache.lineBytes)
+    MonacoMemModel(MemPath path, const Topology &topo,
+                   MemorySystem &memsys)
+        : MemAccessModel(std::move(path)), topo_(topo), memsys_(memsys)
     {
-        int rows = topo.numLsRows();
         int domains = topo.numDomains();
         // Request and response arbiter stages per (LS row, domain>=1).
-        reqArb_.assign(static_cast<std::size_t>(rows * domains), Stage{});
-        respArb_.assign(static_cast<std::size_t>(rows * domains),
-                        Stage{});
+        reqArb_.assign(path_.numArbiters(), Stage{});
+        respArb_.assign(path_.numArbiters(), Stage{});
         reqPort_.assign(static_cast<std::size_t>(topo.memPorts()),
                         Stage{.latency = 0});
 
@@ -103,68 +109,52 @@ class MonacoMemModel : public MemAccessModel
     access(Coord tile, Addr addr, bool is_store, Word data,
            Cycle issue) override
     {
-        int domain = topo_.domainOf(tile);
+        int domain = path_.arbStages(tile);
         NUPEA_ASSERT(domain >= 0, "memory access from non-LS tile ",
                      tile.str());
-        int ls_row = lsRowOf(tile);
-
-        // Hybrid extension: an access to the row group's local
-        // memory slice bypasses arbitration in both directions.
-        bool local = false;
-        if (hybridNuma_) {
-            int addr_group = static_cast<int>(
-                (addr / static_cast<Addr>(lineBytes_)) %
-                static_cast<Addr>(numaDomains_));
-            int row_group = ls_row * numaDomains_ / topo_.numLsRows();
-            local = addr_group == row_group;
-            (local ? localAccesses_ : remoteAccesses_).value() += 1;
-        }
+        int ls_row = topo_.lsRowIndex(tile.row);
+        NUPEA_ASSERT(ls_row >= 0);
 
         // Request path: one flopped arbiter per domain crossed
         // (domain d goes through arbiters d, d-1, ..., 1).
         Cycle t = issue;
-        if (!local) {
-            for (int d = domain; d >= 1; --d) {
-                Cycle in = t;
-                Stage &stage = arb(reqArb_, ls_row, d);
-                t = stage.pass(in);
-                std::size_t i = static_cast<std::size_t>(d);
-                *reqArbPasses_[i] += 1;
-                reqArbWait_[i]->sample(
-                    static_cast<double>(t - in - stage.latency));
-            }
-
-            // Port stage: D0 tiles on the shared column and all
-            // arbitrated traffic contend for the shared port; other
-            // D0 tiles own their port.
-            int port = topo_.portOf(tile);
+        for (int d = domain; d >= 1; --d) {
             Cycle in = t;
-            t = reqPort_[static_cast<std::size_t>(port)].pass(in);
-            *portPasses_[static_cast<std::size_t>(port)] += 1;
-            portWait_->sample(static_cast<double>(t - in));
-
-            // Every non-local request is one sample, zero-delay ones
-            // included — gating on t > issue would skew the mean up.
-            reqNetDelay_->sample(static_cast<double>(t - issue));
+            Stage &stage = reqArb_[path_.arbIndex(ls_row, d)];
+            t = stage.pass(in);
+            std::size_t i = static_cast<std::size_t>(d);
+            *reqArbPasses_[i] += 1;
+            reqArbWait_[i]->sample(
+                static_cast<double>(t - in - stage.latency));
         }
+
+        // Port stage: D0 tiles on the shared column and all arbitrated
+        // traffic contend for the shared port; other D0 tiles own
+        // their port.
+        int port = topo_.portOf(tile);
+        Cycle port_in = t;
+        t = reqPort_[static_cast<std::size_t>(port)].pass(port_in);
+        *portPasses_[static_cast<std::size_t>(port)] += 1;
+        portWait_->sample(static_cast<double>(t - port_in));
+
+        // Every request is one sample, zero-delay ones included —
+        // gating on t > issue would skew the mean up.
+        reqNetDelay_->sample(static_cast<double>(t - issue));
 
         MemAccessResult bank = memsys_.access(addr, is_store, data, t);
 
         // Response path mirrors the request arbitration distance.
         Cycle r = bank.completeAt;
-        if (!local) {
-            for (int d = 1; d <= domain; ++d) {
-                Cycle in = r;
-                Stage &stage = arb(respArb_, ls_row, d);
-                r = stage.pass(in);
-                std::size_t i = static_cast<std::size_t>(d);
-                *respArbPasses_[i] += 1;
-                respArbWait_[i]->sample(
-                    static_cast<double>(r - in - stage.latency));
-            }
-            respNetDelay_->sample(
-                static_cast<double>(r - bank.completeAt));
+        for (int d = 1; d <= domain; ++d) {
+            Cycle in = r;
+            Stage &stage = respArb_[path_.arbIndex(ls_row, d)];
+            r = stage.pass(in);
+            std::size_t i = static_cast<std::size_t>(d);
+            *respArbPasses_[i] += 1;
+            respArbWait_[i]->sample(
+                static_cast<double>(r - in - stage.latency));
         }
+        respNetDelay_->sample(static_cast<double>(r - bank.completeAt));
 
         latencyTotal_->sample(static_cast<double>(r - issue));
         latencyDomain_[static_cast<std::size_t>(domain)]->sample(
@@ -174,32 +164,12 @@ class MonacoMemModel : public MemAccessModel
         out.completeAt = r;
         out.hit = bank.hit;
         out.data = bank.data;
-        out.domain = domain;
-        out.local = local;
         return out;
     }
 
   private:
-    int
-    lsRowOf(Coord tile) const
-    {
-        int idx = topo_.lsRowIndex(tile.row);
-        NUPEA_ASSERT(idx >= 0);
-        return idx;
-    }
-
-    Stage &
-    arb(std::vector<Stage> &stages, int ls_row, int domain)
-    {
-        return stages[static_cast<std::size_t>(
-            ls_row * topo_.numDomains() + domain)];
-    }
-
     const Topology &topo_;
     MemorySystem &memsys_;
-    bool hybridNuma_;
-    int numaDomains_;
-    int lineBytes_;
     std::vector<Stage> reqArb_;
     std::vector<Stage> respArb_;
     std::vector<Stage> reqPort_;
@@ -215,117 +185,46 @@ class MonacoMemModel : public MemAccessModel
     Distribution *reqNetDelay_ = nullptr;
     Distribution *respNetDelay_ = nullptr;
     Distribution *latencyTotal_ = nullptr;
-    /** Lazily bound: only the hybrid extension ever touches these,
-     *  and plain Monaco runs must not grow new zero-valued rows. */
-    CounterHandle localAccesses_{stats_, "local_accesses"};
-    CounterHandle remoteAccesses_{stats_, "remote_accesses"};
     /** @} */
 };
 
-/** Uniform-PE-access baseline: fixed N-fabric-cycle path delay. */
+/**
+ * The UPEA baselines: a fixed network delay before the banks, which
+ * NUMA-UPEA's local accesses skip. The baselines "model only the
+ * delay from UPEA and do not explicitly arbitrate memory requests to
+ * memory ports" (paper Sec. 6).
+ */
 class UpeaMemModel : public MemAccessModel
 {
   public:
-    UpeaMemModel(const MemModelConfig &config, int clock_divider,
-                 MemorySystem &memsys)
-        : memsys_(memsys),
-          delaySys_(static_cast<Cycle>(config.upeaLatency) *
-                    static_cast<Cycle>(clock_divider))
+    UpeaMemModel(MemPath path, MemorySystem &memsys)
+        : MemAccessModel(std::move(path)), memsys_(memsys),
+          delaySys_(path_.remoteDelay<Cycle>(1))
     {}
 
     MemAccessOutcome
     access(Coord tile, Addr addr, bool is_store, Word data,
            Cycle issue) override
     {
-        (void)tile;
-        // The baselines "model only the delay from UPEA and do not
-        // explicitly arbitrate memory requests to memory ports"
-        // (paper Sec. 6): requests go straight to the banks after
-        // the uniform network delay.
-        MemAccessResult bank =
-            memsys_.access(addr, is_store, data, issue + delaySys_);
+        bool local = path_.local(tile, addr);
+        if (path_.grouped())
+            (local ? localAccesses_ : remoteAccesses_).value() += 1;
+        MemAccessResult bank = memsys_.access(
+            addr, is_store, data, issue + (local ? 0 : delaySys_));
         latencyTotal_.value().sample(
             static_cast<double>(bank.completeAt - issue));
         MemAccessOutcome out;
         out.completeAt = bank.completeAt;
         out.hit = bank.hit;
         out.data = bank.data;
-        out.domain = 0;
-        return out;
-    }
-
-  private:
-    MemorySystem &memsys_;
-    Cycle delaySys_;
-    DistHandle latencyTotal_{stats_, "latency_total"};
-};
-
-/** UPEA + NUMA: random PE->domain map, interleaved address space. */
-class NumaUpeaMemModel : public MemAccessModel
-{
-  public:
-    NumaUpeaMemModel(const MemModelConfig &config, int clock_divider,
-                     const Topology &topo, MemorySystem &memsys)
-        : topo_(topo), memsys_(memsys),
-          delaySys_(static_cast<Cycle>(config.upeaLatency) *
-                    static_cast<Cycle>(clock_divider)),
-          numaDomains_(config.numaDomains),
-          lineBytes_(memsys.config().cache.lineBytes)
-    {
-        Rng rng(config.seed);
-        peDomain_.assign(static_cast<std::size_t>(topo.numTiles()), 0);
-        for (int idx = 0; idx < topo.numTiles(); ++idx) {
-            if (topo.isLs(topo.tileCoord(idx))) {
-                peDomain_[static_cast<std::size_t>(idx)] =
-                    static_cast<int>(rng.below(
-                        static_cast<std::uint64_t>(numaDomains_)));
-            }
-        }
-    }
-
-    /** NUMA domain owning an address (line-interleaved). */
-    int
-    domainOfAddr(Addr addr) const
-    {
-        return static_cast<int>(
-            (addr / static_cast<Addr>(lineBytes_)) %
-            static_cast<Addr>(numaDomains_));
-    }
-
-    /** NUMA domain an LS tile belongs to. */
-    int
-    domainOfTile(Coord tile) const
-    {
-        return peDomain_[static_cast<std::size_t>(topo_.tileIndex(tile))];
-    }
-
-    MemAccessOutcome
-    access(Coord tile, Addr addr, bool is_store, Word data,
-           Cycle issue) override
-    {
-        bool local = domainOfTile(tile) == domainOfAddr(addr);
-        Cycle delay = local ? 0 : delaySys_;
-        (local ? localAccesses_ : remoteAccesses_).value() += 1;
-        MemAccessResult bank =
-            memsys_.access(addr, is_store, data, issue + delay);
-        latencyTotal_.value().sample(
-            static_cast<double>(bank.completeAt - issue));
-        MemAccessOutcome out;
-        out.completeAt = bank.completeAt;
-        out.hit = bank.hit;
-        out.data = bank.data;
-        out.domain = domainOfTile(tile);
         out.local = local;
         return out;
     }
 
   private:
-    const Topology &topo_;
     MemorySystem &memsys_;
     Cycle delaySys_;
-    int numaDomains_;
-    int lineBytes_;
-    std::vector<int> peDomain_;
+    /** Lazily bound: plain UPEA never counts locality. */
     CounterHandle localAccesses_{stats_, "local_accesses"};
     CounterHandle remoteAccesses_{stats_, "remote_accesses"};
     DistHandle latencyTotal_{stats_, "latency_total"};
@@ -337,21 +236,12 @@ std::unique_ptr<MemAccessModel>
 makeMemAccessModel(const MemModelConfig &config, int clock_divider,
                    const Topology &topo, MemorySystem &memsys)
 {
-    switch (config.model) {
-      case MemModel::Monaco:
-        return std::make_unique<MonacoMemModel>(config, topo, memsys,
-                                                false);
-      case MemModel::NupeaNuma:
-        return std::make_unique<MonacoMemModel>(config, topo, memsys,
-                                                true);
-      case MemModel::Upea:
-        return std::make_unique<UpeaMemModel>(config, clock_divider,
-                                              memsys);
-      case MemModel::NumaUpea:
-        return std::make_unique<NumaUpeaMemModel>(config, clock_divider,
-                                                  topo, memsys);
-    }
-    fatal("unknown memory model");
+    MemPath path(config, clock_divider, topo,
+                 memsys.config().cache.lineBytes);
+    if (path.arbitrated())
+        return std::make_unique<MonacoMemModel>(std::move(path), topo,
+                                                memsys);
+    return std::make_unique<UpeaMemModel>(std::move(path), memsys);
 }
 
 } // namespace nupea

@@ -59,7 +59,6 @@ TEST(MonacoModel, D0LatencyIsBankOnly)
     EXPECT_TRUE(out.hit);
     // No arbitration in D0: latency = 2-cycle cache hit.
     EXPECT_EQ(out.completeAt, 102u);
-    EXPECT_EQ(out.domain, 0);
 }
 
 TEST(MonacoModel, EachDomainAddsTwoArbiterCycles)
@@ -150,6 +149,20 @@ TEST(UpeaModel, ZeroLatencyIsIdeal)
     f.impl->access({1, 5}, 0x100, false, 0, 0);
     auto out = f.impl->access({1, 5}, 0x100, false, 0, 100);
     EXPECT_EQ(out.completeAt, 102u); // pure cache hit
+}
+
+TEST(UpeaModel, CountsNoLocality)
+{
+    // UPEA and NUMA-UPEA share one access model; UPEA, where no tile
+    // owns a line group, emits only its latency distribution.
+    ModelFixture f(MemModel::Upea, 2);
+    f.impl->access({1, 0}, 0x100, false, 0, 0);
+    f.impl->access({1, 0}, 0x120, false, 0, 100);
+    const StatSet &s = f.impl->stats();
+    EXPECT_TRUE(s.counters().empty());
+    ASSERT_EQ(s.dists().size(), 1u);
+    EXPECT_EQ(s.dists().begin()->first, "latency_total");
+    EXPECT_EQ(s.dists().begin()->second.count(), 2u);
 }
 
 TEST(NumaModel, LocalSkipsDelayRemotePaysIt)
@@ -276,30 +289,6 @@ TEST(MonacoModel, ContendedArbiterRecordsQueueingWait)
     EXPECT_EQ(f.impl->stats().dist("req_arb_wait_d1").max(), 1.0);
 }
 
-TEST(NupeaNumaModel, NetworkDelaySamplesOnlyRemote)
-{
-    ModelFixture f(MemModel::NupeaNuma);
-    Coord d0 = f.tileInDomain(0);
-    int local = 0;
-    for (int i = 0; i < 16; ++i) {
-        auto out = f.impl->access(
-            d0, static_cast<Addr>(0x4000 + 32 * i), false, 0,
-            100u * static_cast<Cycle>(i));
-        local += out.local ? 1 : 0;
-    }
-    StatSet &s = f.impl->stats();
-    // Local accesses bypass the network entirely, so the request
-    // network-delay distribution samples exactly the remote ones.
-    EXPECT_EQ(s.counterValue("local_accesses"),
-              static_cast<std::uint64_t>(local));
-    EXPECT_GT(local, 0);
-    EXPECT_EQ(s.dist("req_network_delay").count(),
-              s.counterValue("remote_accesses"));
-    EXPECT_EQ(s.counterValue("local_accesses") +
-                  s.counterValue("remote_accesses"),
-              16u);
-}
-
 TEST(NumaModel, LocalFlagMatchesLocalityCounters)
 {
     ModelFixture f(MemModel::NumaUpea, 2);
@@ -314,13 +303,6 @@ TEST(NumaModel, LocalFlagMatchesLocalityCounters)
     EXPECT_EQ(f.impl->stats().counterValue("local_accesses"),
               static_cast<std::uint64_t>(local));
     EXPECT_EQ(local, 4); // line-interleaved across 4 domains
-}
-
-TEST(ModelNames, Printable)
-{
-    EXPECT_EQ(memModelName(MemModel::Monaco), "monaco");
-    EXPECT_EQ(memModelName(MemModel::Upea), "upea");
-    EXPECT_EQ(memModelName(MemModel::NumaUpea), "numa-upea");
 }
 
 } // namespace
