@@ -16,7 +16,9 @@
  *    accesses * max(1, L_fab / maxOutstanding) cycles;
  *  - port/arbiter throughput (Monaco-style NoCs): every request
  *    funnels through single-issue port and arbiter stages on the
- *    system clock; per-stage access sums bound the run;
+ *    system clock; per-stage access sums bound the run (the stages,
+ *    NUMA groups and UPEA delay come from MemPath, sim/mem_model.h,
+ *    the statement of the memory path the Machine reads too);
  *  - bank throughput: each bank accepts one request per system cycle;
  *  - recurrence: per cyclic SCC, the fires-weighted longest path
  *    (the loop-decider rings the verifier's rate algebra keys on) —
